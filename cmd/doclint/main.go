@@ -13,7 +13,10 @@
 //  2. Docs freshness: every CLI flag declared by cmd/paotrserve and
 //     cmd/paotrload and every HTTP route paotrserve registers must be
 //     mentioned in docs/OPERATIONS.md. Adding a flag or endpoint
-//     without documenting how to operate it fails the build.
+//     without documenting how to operate it fails the build. In reverse,
+//     every flag-table row (a line starting "| `-name`") must name a flag
+//     one of the two commands still declares, so deleting a flag without
+//     its row fails too.
 //
 // Usage:
 //
@@ -187,7 +190,8 @@ func receiverName(recv *ast.FieldList) string {
 }
 
 // checkFreshness asserts every flag of flagDirs and every route of
-// routeDir appears in the runbook.
+// routeDir appears in the runbook, and every flag row of the runbook
+// names a flag of flagDirs.
 func checkFreshness(root string) ([]string, error) {
 	docBytes, err := os.ReadFile(filepath.Join(root, runbook))
 	if err != nil {
@@ -195,15 +199,26 @@ func checkFreshness(root string) ([]string, error) {
 	}
 	doc := string(docBytes)
 	var out []string
+	declared := map[string]bool{}
 	for _, dir := range flagDirs {
 		flags, err := collectFlags(filepath.Join(root, dir))
 		if err != nil {
 			return nil, err
 		}
 		for _, fl := range flags {
+			declared[fl] = true
 			if !strings.Contains(doc, "-"+fl) {
 				out = append(out, fmt.Sprintf("%s: flag -%s is not documented in %s", dir, fl, runbook))
 			}
+		}
+	}
+	for _, line := range strings.Split(doc, "\n") {
+		row, ok := strings.CutPrefix(line, "| `-")
+		if !ok {
+			continue
+		}
+		if name, _, ok := strings.Cut(row, "`"); ok && !declared[name] {
+			out = append(out, fmt.Sprintf("%s: row for flag -%s, which no command in %v declares", runbook, name, flagDirs))
 		}
 	}
 	routes, err := collectRoutes(filepath.Join(root, routeDir))

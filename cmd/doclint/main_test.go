@@ -84,7 +84,8 @@ const (
 }
 
 // TestFreshnessHasTeeth proves the runbook check catches an undocumented
-// flag and endpoint, and passes once both are mentioned.
+// flag and endpoint and a flag row for a flag no command declares, and
+// passes once both are mentioned and the stale row is gone.
 func TestFreshnessHasTeeth(t *testing.T) {
 	root := t.TempDir()
 	write(t, root, "cmd/paotrserve/main.go", `package main
@@ -107,7 +108,7 @@ import "flag"
 
 func main() { _ = flag.Int("load-knob", 0, "") }
 `)
-	write(t, root, "docs/OPERATIONS.md", "-documented and -load-knob and /known\n")
+	write(t, root, "docs/OPERATIONS.md", "| `-documented` | on |\n| `-removed` | off |\n-load-knob and /known\n")
 	vs, err := checkFreshness(root)
 	if err != nil {
 		t.Fatal(err)
@@ -119,11 +120,14 @@ func main() { _ = flag.Int("load-knob", 0, "") }
 	if !strings.Contains(joined, "endpoint /secret is not documented") {
 		t.Errorf("freshness missed the undocumented endpoint (wildcard should be trimmed):\n%s", joined)
 	}
-	if len(vs) != 2 {
-		t.Errorf("freshness found %d violations, want exactly 2:\n%s", len(vs), joined)
+	if !strings.Contains(joined, "row for flag -removed") {
+		t.Errorf("freshness missed the stale flag row:\n%s", joined)
+	}
+	if len(vs) != 3 {
+		t.Errorf("freshness found %d violations, want exactly 3:\n%s", len(vs), joined)
 	}
 
-	write(t, root, "docs/OPERATIONS.md", "-documented -forgotten -load-knob /known /secret\n")
+	write(t, root, "docs/OPERATIONS.md", "| `-documented` | on |\n-forgotten -load-knob /known /secret\n")
 	vs, err = checkFreshness(root)
 	if err != nil {
 		t.Fatal(err)

@@ -23,8 +23,8 @@ func admitServer(rate, burst float64, gate **service.AdmissionGate) func(t *test
 		t.Helper()
 		svc, err := newServiceWith(serviceConfig{
 			seed: 1, workers: 4, replan: 0.02,
-			executor: "linear", batch: true, fleetPlan: true, shapeFactor: true,
-			admit: true, admitRate: rate, admitBurst: burst, admitWindow: 8,
+			executor: "linear",
+			admit:    true, admitRate: rate, admitBurst: burst, admitWindow: 8,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -253,8 +253,8 @@ func TestAdmitRetryAfterHeader(t *testing.T) {
 func TestAdmitOffIsUngated(t *testing.T) {
 	svc, err := newServiceWith(serviceConfig{
 		seed: 1, workers: 4, replan: 0.02,
-		executor: "linear", batch: true, fleetPlan: true, shapeFactor: true,
-		admit: false,
+		executor: "linear",
+		admit:    false,
 	})
 	if err != nil {
 		t.Fatal(err)

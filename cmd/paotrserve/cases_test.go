@@ -40,7 +40,7 @@ func adaptiveServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	svc, err := newServiceWith(serviceConfig{
 		seed: 1, workers: 4, replan: 0.02,
-		executor: "adaptive", gap: -1, batch: true, fleetPlan: true, shapeFactor: true,
+		executor: "adaptive", gap: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func driftServer(shiftTick int64) func(t *testing.T) *httptest.Server {
 		t.Helper()
 		svc, err := newServiceWith(serviceConfig{
 			seed: 17, workers: 4, replan: 0.02,
-			executor: "linear", batch: true, fleetPlan: true, shapeFactor: true,
+			executor: "linear",
 			scenario: "drift", shiftTick: shiftTick,
 		})
 		if err != nil {
@@ -70,31 +70,14 @@ func driftServer(shiftTick int64) func(t *testing.T) *httptest.Server {
 	}
 }
 
-// cumulativeServer runs the never-forgetting baseline estimator,
-// mirroring `paotrserve -estimator cumulative`.
-func cumulativeServer(t *testing.T) *httptest.Server {
-	t.Helper()
-	svc, err := newServiceWith(serviceConfig{
-		seed: 1, workers: 4, replan: 0.02,
-		executor: "linear", batch: true, fleetPlan: true, shapeFactor: true,
-		estimator: "cumulative",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(newServer(svc, -1))
-	t.Cleanup(srv.Close)
-	return srv
-}
-
 // shardedServer serves the 4-shard runtime over the wearables fleet,
 // mirroring `paotrserve -shards 4`.
 func shardedServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	svc, err := newServiceWith(serviceConfig{
 		seed: 1, workers: 4, replan: 0.02,
-		executor: "linear", batch: true, fleetPlan: true, shapeFactor: true,
-		shards: 4,
+		executor: "linear",
+		shards:   4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,8 +108,8 @@ func relayShardedServer(frac float64) func(t *testing.T) *httptest.Server {
 		t.Helper()
 		svc, err := newServiceWith(serviceConfig{
 			seed: 1, workers: 4, replan: 0.02,
-			executor: "linear", batch: true, fleetPlan: true, shapeFactor: true,
-			shards: 4, relayFrac: frac,
+			executor: "linear",
+			shards:   4, relayFrac: frac,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -145,7 +128,7 @@ func relayShardedServer(frac float64) func(t *testing.T) *httptest.Server {
 func remoteRelayCase() e2eCase {
 	cfg := serviceConfig{
 		seed: 1, workers: 2, replan: 0.02,
-		executor: "linear", batch: true, fleetPlan: true, shapeFactor: true,
+		executor:  "linear",
 		relayFrac: 0.1,
 	}
 	var endpoints []string
@@ -217,7 +200,7 @@ func driftChurnServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	svc, err := newServiceWith(serviceConfig{
 		seed: 17, workers: 4, replan: 0.1,
-		executor: "linear", batch: true, fleetPlan: true, shapeFactor: true,
+		executor: "linear",
 		scenario: "drift", shiftTick: 40,
 	})
 	if err != nil {
@@ -594,24 +577,6 @@ func e2eCases() []e2eCase {
 					}
 				}},
 		}},
-		{caseID: "E00403", name: "cumulative estimator baseline selectable", server: cumulativeServer, steps: []e2eStep{
-			registerHR,
-			{"POST", "/tick", `{"steps":10}`, http.StatusOK, nil},
-			{"GET", "/metrics", "", http.StatusOK,
-				func(t *testing.T, body []byte) {
-					var m service.Metrics
-					mustDecode(t, body, &m)
-					if m.Estimator != "cumulative" || m.EstimatorWindow != 0 {
-						t.Errorf("estimator = %q/%d, want cumulative baseline", m.Estimator, m.EstimatorWindow)
-					}
-					if m.PredicateDetectorTrips != 0 || m.ReplansForced != 0 {
-						t.Errorf("cumulative baseline reported detector activity: %+v", m)
-					}
-					if m.TrackedPredicates == 0 {
-						t.Errorf("trace store tracked no predicates: %+v", m)
-					}
-				}},
-		}},
 
 		{caseID: "E00501", name: "sharded register, tick and per-shard results", server: shardedServer, steps: []e2eStep{
 			{"POST", "/queries", `{"id":"a/tachy","query":"AVG(heart-rate,5) > 100 AND accelerometer < 12"}`, http.StatusCreated, nil},
@@ -784,8 +749,8 @@ func e2eCases() []e2eCase {
 					for _, frac := range []float64{0.1, 1} {
 						svc, err := newServiceWith(serviceConfig{
 							seed: 1, workers: 4, replan: 0.02,
-							executor: "linear", batch: true, fleetPlan: true, shapeFactor: true,
-							shards: 4, relayFrac: frac,
+							executor: "linear",
+							shards:   4, relayFrac: frac,
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -929,30 +894,6 @@ func e2eCases() []e2eCase {
 					if !m.ShapeFactoring || m.DistinctShapes != 2 || m.ShapeSubscribers != 3 || m.SharedExecutions != 3 {
 						t.Errorf("census = factoring %v, %d classes / %d subscribers / %d shared, want on, 2 / 3 / 3",
 							m.ShapeFactoring, m.DistinctShapes, m.ShapeSubscribers, m.SharedExecutions)
-					}
-					// `-shape-factoring=false` degenerates to one class per
-					// query: replay the fleet with factoring off in-process.
-					svc, err := newServiceWith(serviceConfig{
-						seed: 1, workers: 4, replan: 0.02,
-						executor: "linear", batch: true, fleetPlan: true,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, q := range []struct{ id, text string }{
-						{"a/alert", "AVG(heart-rate,5) > 100 AND spo2 < 95"},
-						{"b/alert", "AVG(heart-rate,5) > 100 AND spo2 < 95"},
-						{"c/uniq", "gps-speed > 1.5"},
-					} {
-						if err := svc.Register(q.id, q.text); err != nil {
-							t.Fatal(err)
-						}
-					}
-					svc.Run(3)
-					um := svc.Metrics()
-					if um.ShapeFactoring || um.DistinctShapes != 3 || um.SharedExecutions != 0 {
-						t.Errorf("factoring off: %v, %d classes / %d shared, want off, 3 / 0",
-							um.ShapeFactoring, um.DistinctShapes, um.SharedExecutions)
 					}
 				}},
 		}},

@@ -29,21 +29,19 @@
 // query is within the 12-leaf DP bound and the modelled gap clears
 // -adaptive-gap (falling back to linear otherwise).
 //
-// The -shape-factoring flag (default on) interns same-shape queries
-// into equivalence classes: each tick one leader per class evaluates
-// the shared plan and its verdict fans out to every subscriber at zero
-// cost, so a fleet of N tenants over S distinct alert templates pays
-// for S evaluations, not N. /metrics reports the class census
-// (distinct_shapes, shape_subscribers) and shared_executions;
-// -shape-factoring=false degenerates to one class per query.
+// Same-shape queries are interned into equivalence classes: each tick
+// one leader per class evaluates the shared plan and its verdict fans
+// out to every subscriber at zero cost, so a fleet of N tenants over S
+// distinct alert templates pays for S evaluations, not N. /metrics
+// reports the class census (distinct_shapes, shape_subscribers) and
+// shared_executions.
 //
-// The -estimator flag selects probability estimation: "windowed" (the
-// default) learns leaf probabilities and per-item costs online over a
+// Leaf probabilities and per-item costs are learned online over a
 // sliding window (-window) with Page-Hinkley change detectors
-// (-ph-delta, -ph-lambda) that force targeted replans on regime shifts;
-// "cumulative" is the never-forgetting baseline. /metrics reports
-// estimator state (detector trips, forced replans, CI width, learned
-// per-stream costs). The -scenario flag swaps the sensor fleet:
+// (-ph-delta, -ph-lambda) that force targeted replans on regime shifts.
+// /metrics reports estimator state (detector trips, forced replans, CI
+// width, learned per-stream costs). The -scenario flag swaps the sensor
+// fleet:
 // "wearables" (default) or "drift", a regime-shifting synthetic corpus
 // whose probabilities and costs flip at -shift-tick (for drift e2e
 // testing; streams r0..r3).
@@ -134,15 +132,6 @@ func main() {
 			"default execution strategy: linear or adaptive")
 		adaptiveGap = flag.Float64("adaptive-gap", engine.DefaultGapThreshold,
 			"relative linear/non-linear cost gap required before the adaptive executor prefers a decision tree")
-		noBatch   = flag.Bool("no-batch", false, "disable tick-level batched acquisition")
-		fleetPlan = flag.Bool("fleet-plan", true,
-			"plan all due linear queries jointly each tick, discounting items sibling queries will pull (see Metrics.FleetExpectedCost)")
-		shapeFactoring = flag.Bool("shape-factoring", true,
-			"intern same-shape queries into equivalence classes and evaluate each distinct shape once per tick, fanning the verdict out to every subscriber (see Metrics.DistinctShapes)")
-		stripes = flag.Int("cache-stripes", 0,
-			"acquisition-cache lock stripes (0 = one per stream; 1 = single global lock baseline)")
-		estimator = flag.String("estimator", "windowed",
-			"probability estimation: windowed (online adaptive) or cumulative (never-forgetting baseline)")
 		window = flag.Int("window", 0,
 			"sliding-window size of the windowed estimator (0 = default 64)")
 		phDelta = flag.Float64("ph-delta", 0,
@@ -192,8 +181,7 @@ func main() {
 	cfg := serviceConfig{
 		seed: *seed, workers: *workers, replan: *replan,
 		executor: *executor, gap: *adaptiveGap,
-		batch: !*noBatch, fleetPlan: *fleetPlan, shapeFactor: *shapeFactoring, stripes: *stripes,
-		estimator: *estimator, window: *window, phDelta: *phDelta, phLambda: *phLambda,
+		window: *window, phDelta: *phDelta, phLambda: *phLambda,
 		scenario: *scenario, shiftTick: *shiftTick,
 		shards: *shards, repartition: *repartition, relayFrac: *relayFrac,
 		traceSample: *traceSample,
@@ -239,7 +227,7 @@ func main() {
 		srv.enablePprof()
 		lg.Infof("pprof", "pprof enabled under /debug/pprof/")
 	}
-	lg.Infof("listen", "paotrserve listening on %s (estimator: %s; streams: %s)", *addr, *estimator, streams)
+	lg.Infof("listen", "paotrserve listening on %s (streams: %s)", *addr, streams)
 	lg.Fatal("serve", http.ListenAndServe(*addr, srv))
 }
 
@@ -257,24 +245,15 @@ func executorByName(name string, gap float64) (engine.Executor, error) {
 
 // serviceConfig collects the service-construction knobs of the CLI.
 type serviceConfig struct {
-	seed      uint64
-	workers   int
-	replan    float64
-	executor  string
-	gap       float64
-	batch     bool
-	fleetPlan bool
-	// shapeFactor interns same-shape queries into equivalence classes so
-	// each distinct shape plans and evaluates once per tick (the
-	// -shape-factoring flag; see service.WithShapeFactoring).
-	shapeFactor bool
-	stripes     int
-	// estimator is "windowed" (default when empty) or "cumulative";
+	seed     uint64
+	workers  int
+	replan   float64
+	executor string
+	gap      float64
 	// window/phDelta/phLambda tune the windowed estimator (0 = default).
-	estimator string
-	window    int
-	phDelta   float64
-	phLambda  float64
+	window   int
+	phDelta  float64
+	phLambda float64
 	// scenario is "wearables" (default when empty) or "drift"; shiftTick
 	// is the drift scenario's regime-flip tick.
 	scenario  string
@@ -345,7 +324,6 @@ func newService(seed uint64, workers int, replanThreshold float64) service.Runti
 	svc, err := newServiceWith(serviceConfig{
 		seed: seed, workers: workers, replan: replanThreshold,
 		executor: "linear", gap: engine.DefaultGapThreshold,
-		batch: true, fleetPlan: true, shapeFactor: true,
 	})
 	if err != nil {
 		panic(err) // unreachable: "linear" always resolves
@@ -363,26 +341,15 @@ func serviceOptions(cfg serviceConfig) ([]service.Option, error) {
 	opts := []service.Option{
 		service.WithEngineOptions(engine.WithReplanThreshold(cfg.replan)),
 		service.WithExecutor(x),
-		service.WithBatchedAcquisition(cfg.batch),
-		service.WithFleetPlanning(cfg.fleetPlan),
-		service.WithShapeFactoring(cfg.shapeFactor),
-		service.WithCacheStripes(cfg.stripes),
+		service.WithAdaptConfig(adapt.Config{
+			Window: cfg.window, PHDelta: cfg.phDelta, PHLambda: cfg.phLambda,
+		}),
 	}
 	if cfg.workers > 0 {
 		opts = append(opts, service.WithWorkers(cfg.workers))
 	}
 	if cfg.traceSample > 0 {
 		opts = append(opts, service.WithTraceSampling(cfg.traceSample))
-	}
-	switch cfg.estimator {
-	case "", "windowed":
-		opts = append(opts, service.WithAdaptConfig(adapt.Config{
-			Window: cfg.window, PHDelta: cfg.phDelta, PHLambda: cfg.phLambda,
-		}))
-	case "cumulative":
-		opts = append(opts, service.WithCumulativeEstimator())
-	default:
-		return nil, fmt.Errorf("unknown estimator %q (want \"windowed\" or \"cumulative\")", cfg.estimator)
 	}
 	return opts, nil
 }
@@ -766,12 +733,9 @@ func runDemo(w io.Writer, svc service.Runtime, steps int, gap float64) error {
 				ps.Shard, ps.Queries, ps.ExpectedLoad, ps.Executions, ps.PaidCost, 100*ps.CacheHitRate)
 		}
 	}
-	fmt.Fprintf(w, "estimator:             %s (%d predicates tracked", m.Estimator, m.TrackedPredicates)
-	if m.Estimator == "windowed" {
-		fmt.Fprintf(w, ", window %d, avg CI width %.2f, %d/%d detector trips, %d forced replans",
-			m.EstimatorWindow, m.AvgCIWidth, m.PredicateDetectorTrips, m.CostDetectorTrips, m.ReplansForced)
-	}
-	fmt.Fprintf(w, ")\n")
+	fmt.Fprintf(w, "estimator:             %s (%d predicates tracked, window %d, avg CI width %.2f, %d/%d detector trips, %d forced replans)\n",
+		m.Estimator, m.TrackedPredicates, m.EstimatorWindow, m.AvgCIWidth,
+		m.PredicateDetectorTrips, m.CostDetectorTrips, m.ReplansForced)
 	fmt.Fprintf(w, "\n%-14s %10s %10s %8s %8s %8s\n", "stream", "requested", "pulled", "hit-rate", "spent J", "dup-avoid")
 	for _, ps := range m.PerStream {
 		fmt.Fprintf(w, "%-14s %10d %10d %7.1f%% %8.2f %9d\n",

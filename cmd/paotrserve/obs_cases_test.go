@@ -19,7 +19,7 @@ func tracingServer(sample int) func(t *testing.T) *httptest.Server {
 		t.Helper()
 		svc, err := newServiceWith(serviceConfig{
 			seed: 1, workers: 4, replan: 0.02,
-			executor: "linear", batch: true, fleetPlan: true, shapeFactor: true,
+			executor:    "linear",
 			traceSample: sample,
 		})
 		if err != nil {

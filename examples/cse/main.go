@@ -10,11 +10,13 @@
 // subscriber at zero cost; the joint planner and the drift detectors see
 // one class, not N twins.
 //
-// The example registers 1,000 tenants drawing on 20 distinct shapes,
-// runs the fleet with factoring on and off over identically seeded
-// streams, and prints the per-tick cost of each configuration plus the
-// factored fleet's class census — demonstrating that factoring changes
-// what is paid and planned, never the verdict any tenant observes.
+// The example registers 1,000 tenants drawing on 20 distinct shapes and
+// runs the same fleet over identically seeded streams through
+// engine.Workload — every tenant's query planned and evaluated on its
+// own, the unfactored baseline — and through the factoring service. It
+// prints the per-tick cost of each plus the factored fleet's class
+// census, and checks that factoring changes what is paid and planned,
+// never the verdict any tenant observes.
 package main
 
 import (
@@ -22,52 +24,79 @@ import (
 	"time"
 
 	"paotr/internal/corpus"
+	"paotr/internal/engine"
 	"paotr/internal/service"
 	"paotr/internal/stream"
 )
 
-func newFleet(cfg corpus.CSEConfig, factoring bool) *service.Service {
+func newRegistry(cfg corpus.CSEConfig) *stream.Registry {
 	reg := stream.NewRegistry()
 	for i, name := range cfg.StreamNames() {
 		if err := reg.Add(stream.Uniform(name, uint64(i+1)), stream.CostModel{BaseJoules: 1}); err != nil {
 			panic(err)
 		}
 	}
-	svc := service.New(reg,
-		service.WithWorkers(4),
-		service.WithShapeFactoring(factoring))
+	return reg
+}
+
+// run ticks the factoring service over cfg's fleet and returns its
+// metrics, the mean tick time, and every tick's per-tenant verdicts.
+func run(cfg corpus.CSEConfig, ticks int) (service.Metrics, time.Duration, [][]bool) {
+	svc := service.New(newRegistry(cfg), service.WithWorkers(4))
 	for _, q := range corpus.CSEFleet(cfg) {
 		if err := svc.Register(q.ID, q.Text); err != nil {
 			panic(err)
 		}
 	}
-	return svc
-}
-
-func run(cfg corpus.CSEConfig, factoring bool, ticks int) (service.Metrics, time.Duration) {
-	svc := newFleet(cfg, factoring)
-	t0 := time.Now()
-	for i := 0; i < ticks; i++ {
-		svc.Tick()
+	verdicts := make([][]bool, ticks)
+	var elapsed time.Duration
+	for i := range verdicts {
+		t0 := time.Now()
+		tr := svc.Tick()
+		elapsed += time.Since(t0)
+		for _, e := range tr.Executions {
+			verdicts[i] = append(verdicts[i], e.Value)
+		}
 	}
-	return svc.Metrics(), time.Since(t0) / time.Duration(ticks)
+	return svc.Metrics(), elapsed / time.Duration(ticks), verdicts
 }
 
 func main() {
 	cfg := corpus.CSEConfig{Tenants: 1000, Shapes: 20, Streams: 16, Seed: 42}
+	const ticks = 20
 
 	fmt.Printf("shape factoring demo: %d tenants over %d distinct shapes, %d streams\n\n",
 		cfg.Tenants, cfg.Shapes, cfg.Streams)
 
-	// The unfactored arm pays the joint planner across all 1,000 queries
-	// every replan, so it gets fewer ticks; costs are reported per tick.
-	off, offTick := run(cfg, false, 10)
-	on, onTick := run(cfg, true, 50)
+	var texts []string
+	for _, q := range corpus.CSEFleet(cfg) {
+		texts = append(texts, q.Text)
+	}
+	w, err := engine.NewWorkload(engine.New(newRegistry(cfg)), texts...)
+	if err != nil {
+		panic(err)
+	}
+	t0 := time.Now()
+	steps, err := w.Run(ticks)
+	if err != nil {
+		panic(err)
+	}
+	offTick := time.Since(t0) / ticks
+	on, onTick, verdicts := run(cfg, ticks)
+	mismatches := 0
+	for i, st := range steps {
+		for j, r := range st.Results {
+			if r.Value != verdicts[i][j] {
+				mismatches++
+			}
+		}
+	}
 
-	fmt.Printf("factoring off: %7.2fms/tick  %7.1f J/tick  %d executions/tick\n",
-		offTick.Seconds()*1e3, off.PaidCost/10, off.Executions/10)
-	fmt.Printf("factoring on:  %7.2fms/tick  %7.1f J/tick  %d executions/tick (%d shared)\n\n",
-		onTick.Seconds()*1e3, on.PaidCost/50, on.Executions/50, on.SharedExecutions/50)
+	fmt.Printf("per-query workload: %7.2fms/tick  %7.1f J/tick  %d evaluations/tick\n",
+		offTick.Seconds()*1e3, w.Spent()/ticks, cfg.Tenants)
+	fmt.Printf("factoring service:  %7.2fms/tick  %7.1f J/tick  %d executions/tick (%d shared)\n",
+		onTick.Seconds()*1e3, on.PaidCost/ticks, on.Executions/ticks, on.SharedExecutions/ticks)
+	fmt.Printf("verdict mismatches: %d of %d\n\n", mismatches, ticks*cfg.Tenants)
 
 	fmt.Printf("class census: %d distinct shapes carry %d subscribers (%.0f per class)\n",
 		on.DistinctShapes, on.ShapeSubscribers,
@@ -79,7 +108,7 @@ func main() {
 	// to one class per tenant.
 	jcfg := cfg
 	jcfg.Tenants, jcfg.Jitter = 200, 0.02
-	jm, _ := run(jcfg, true, 10)
+	jm, _, _ := run(jcfg, 10)
 	fmt.Printf("\njittered control: %d tenants -> %d classes, %d shared executions\n",
 		jcfg.Tenants, jm.DistinctShapes, jm.SharedExecutions)
 }

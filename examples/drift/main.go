@@ -6,25 +6,27 @@
 // counter implements that literally — and never forgets: after hundreds
 // of ticks of history, a real regime shift moves its estimate only
 // glacially, so the planner keeps executing a schedule built for a world
-// that no longer exists. The internal/adapt subsystem replaces it with
+// that no longer exists. The service replaces it with the internal/adapt
 // sliding-window estimators, learned per-item costs and Page-Hinkley
 // change detectors that evict exactly the affected plans on a shift.
 //
 // This example runs the same regime-shift corpus (probabilities AND
-// per-item prices of streams r0..r3 flip at tick 300) under both
-// estimators and prints, around the shift, the two estimates of the
-// flipping predicate "r3 < 0.5" (true probability 0.1 → 0.8) next to
-// each other — the windowed track re-converges within a window while the
-// cumulative one crawls — followed by the realized post-shift J/tick of
-// both fleets and the detector activity that closed the loop.
+// per-item prices of streams r0..r3 flip at tick 300) through the
+// service and through engine.Workload — the paper's per-query baseline
+// over the cumulative trace store — and prints, around the shift, the
+// two estimates of the flipping predicate "r3 < 0.5" (true probability
+// 0.1 → 0.8) next to each other — the windowed track re-converges within
+// a window while the cumulative one crawls — followed by the realized
+// post-shift J/tick of both and the detector activity that closed the
+// loop.
 package main
 
 import (
 	"fmt"
 
 	"paotr/internal/corpus"
+	"paotr/internal/engine"
 	"paotr/internal/service"
-	"paotr/internal/stream"
 )
 
 const (
@@ -34,60 +36,57 @@ const (
 
 var cfg = corpus.RegimeConfig{Seed: 17, ShiftStep: shiftTick}
 
-func newService(reg *stream.Registry, cumulative bool) *service.Service {
-	var opts []service.Option
-	opts = append(opts, service.WithWorkers(4))
-	if cumulative {
-		opts = append(opts, service.WithCumulativeEstimator())
-	}
-	svc := service.New(reg, opts...)
+func main() {
+	aReg := corpus.RegimeRegistry(cfg)
+	adaptive := service.New(aReg, service.WithWorkers(4))
 	for i, q := range corpus.RegimeQueries(cfg) {
-		if err := svc.Register(fmt.Sprintf("q%d", i), q); err != nil {
+		if err := adaptive.Register(fmt.Sprintf("q%d", i), q); err != nil {
 			panic(err)
 		}
 	}
-	return svc
-}
-
-func main() {
-	aReg, sReg := corpus.RegimeRegistry(cfg), corpus.RegimeRegistry(cfg)
-	adaptive := newService(aReg, false)
-	stale := newService(sReg, true)
+	staleEng := engine.New(corpus.RegimeRegistry(cfg))
+	stale, err := engine.NewWorkload(staleEng, corpus.RegimeQueries(cfg)...)
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("regime-shift corpus: streams r0..r3 flip probabilities and per-item costs at tick %d\n", shiftTick)
 	fmt.Printf("predicate under watch: %q — true probability 0.10 before the shift, 0.80 after\n\n", "r3 < 0.5")
 	fmt.Printf("%6s %14s %14s\n", "tick", "windowed est", "cumulative est")
 
-	probe := func(svc *service.Service) float64 {
-		p, _ := svc.Engine().Estimator().Estimate("r3 < 0.5")
+	probe := func(eng *engine.Engine) float64 {
+		p, _ := eng.Estimator().Estimate("r3 < 0.5")
 		return p
 	}
 	checkpoints := map[int]bool{
 		100: true, 200: true, 290: true, 320: true, 340: true,
 		360: true, 380: true, 420: true, 500: true, 600: true,
 	}
-	var shiftAdaptive, shiftStale service.Metrics
+	var shiftAdaptive service.Metrics
+	var shiftStale float64
 	for tick := 1; tick <= shiftTick+postTicks; tick++ {
 		adaptive.Tick()
-		stale.Tick()
+		if _, err := stale.Step(); err != nil {
+			panic(err)
+		}
 		if tick == shiftTick {
-			shiftAdaptive, shiftStale = adaptive.Metrics(), stale.Metrics()
+			shiftAdaptive, shiftStale = adaptive.Metrics(), stale.Spent()
 		}
 		if checkpoints[tick] {
 			marker := ""
 			if tick > shiftTick {
 				marker = "   <- post-shift"
 			}
-			fmt.Printf("%6d %14.3f %14.3f%s\n", tick, probe(adaptive), probe(stale), marker)
+			fmt.Printf("%6d %14.3f %14.3f%s\n", tick, probe(adaptive.Engine()), probe(staleEng), marker)
 		}
 	}
 
-	am, sm := adaptive.Metrics(), stale.Metrics()
+	am := adaptive.Metrics()
 	aPost := (am.PaidCost - shiftAdaptive.PaidCost) / postTicks
-	sPost := (sm.PaidCost - shiftStale.PaidCost) / postTicks
+	sPost := (stale.Spent() - shiftStale) / postTicks
 	fmt.Printf("\n--- realized acquisition cost, %d post-shift ticks ---\n", postTicks)
-	fmt.Printf("windowed (adaptive):   %.2f J/tick\n", aPost)
-	fmt.Printf("cumulative (stale):    %.2f J/tick\n", sPost)
+	fmt.Printf("windowed service:      %.2f J/tick\n", aPost)
+	fmt.Printf("cumulative workload:   %.2f J/tick\n", sPost)
 	fmt.Printf("adaptation dividend:   %.1f%%\n", 100*(1-aPost/sPost))
 
 	fmt.Printf("\n--- detector activity (windowed fleet) ---\n")

@@ -10,23 +10,26 @@
 // everyone else, discounts accordingly, and steers the fleet onto the
 // shared stream — the same C/p greedy, applied across query boundaries.
 //
-// The example runs both configurations over identically seeded streams
-// and prints the modelled and realized acquisition costs, then the
-// per-stream traffic breakdown showing where the sharing happened.
+// The example runs the fleet through engine.Workload — each query
+// planned on its own, executed in order over one shared cache — and
+// through the service's joint planner over identically seeded streams,
+// and prints the realized acquisition costs, then the per-stream traffic
+// breakdown showing where the sharing happened.
 package main
 
 import (
 	"fmt"
 
+	"paotr/internal/engine"
 	"paotr/internal/service"
 	"paotr/internal/stream"
 )
 
 const tenants = 6
 
-// newFleet builds one shared expensive stream plus a cheap private
-// stream per tenant, and registers each tenant's two-branch query.
-func newFleet(seed uint64, fleetPlanning bool) *service.Service {
+// newRegistry builds one shared expensive stream plus a cheap private
+// stream per tenant.
+func newRegistry(seed uint64) *stream.Registry {
 	reg := stream.NewRegistry()
 	if err := reg.Add(stream.Uniform("shared", seed), stream.CostModel{BaseJoules: 8}); err != nil {
 		panic(err)
@@ -37,15 +40,16 @@ func newFleet(seed uint64, fleetPlanning bool) *service.Service {
 			panic(err)
 		}
 	}
-	svc := service.New(reg, service.WithWorkers(4), service.WithFleetPlanning(fleetPlanning))
-	for i := 0; i < tenants; i++ {
-		text := fmt.Sprintf(
-			"(AVG(shared,4) > 0.2 [p=0.5]) OR (AVG(private%d,4) > 0.2 [p=0.5])", i)
-		if err := svc.Register(fmt.Sprintf("tenant%d", i), text); err != nil {
-			panic(err)
-		}
+	return reg
+}
+
+// queries are the tenants' two-branch queries.
+func queries() []string {
+	out := make([]string, tenants)
+	for i := range out {
+		out[i] = fmt.Sprintf("(AVG(shared,4) > 0.2 [p=0.5]) OR (AVG(private%d,4) > 0.2 [p=0.5])", i)
 	}
-	return svc
+	return out
 }
 
 func main() {
@@ -55,20 +59,27 @@ func main() {
 	fmt.Printf("fleet planning demo: %d tenants, 1 shared + %d private streams, %d ticks\n\n",
 		tenants, tenants, ticks)
 
-	indep := newFleet(seed, false)
-	indep.Run(ticks)
-	mi := indep.Metrics()
+	indep, err := engine.NewWorkload(engine.New(newRegistry(seed)), queries()...)
+	if err != nil {
+		panic(err)
+	}
+	if _, err := indep.Run(ticks); err != nil {
+		panic(err)
+	}
 
-	joint := newFleet(seed, true)
+	joint := service.New(newRegistry(seed), service.WithWorkers(4))
+	for i, text := range queries() {
+		if err := joint.Register(fmt.Sprintf("tenant%d", i), text); err != nil {
+			panic(err)
+		}
+	}
 	joint.Run(ticks)
 	mj := joint.Metrics()
 
-	fmt.Printf("%-24s %14s %14s\n", "", "independent", "fleet-planned")
-	fmt.Printf("%-24s %12.1f J %12.1f J\n", "realized acquisition", mi.PaidCost, mj.PaidCost)
-	fmt.Printf("%-24s %12.1f J %12.1f J\n", "modelled (planner)", mi.ExpectedCost, mj.FleetExpectedCost)
-	fmt.Printf("%-24s %14d %14d\n", "duplicate pulls avoided", mi.DuplicatePullsAvoided, mj.DuplicatePullsAvoided)
+	fmt.Printf("%-24s %14s %14s\n", "", "per-query", "fleet-planned")
+	fmt.Printf("%-24s %12.1f J %12.1f J\n", "realized acquisition", indep.Spent(), mj.PaidCost)
 	fmt.Printf("\nrealized saving: %.1f%%  (modelled joint-vs-independent saving: %.1f%%)\n",
-		100*(1-mj.PaidCost/mi.PaidCost), 100*mj.FleetModelledSaving)
+		100*(1-mj.PaidCost/indep.Spent()), 100*mj.FleetModelledSaving)
 	fmt.Printf("fleet plans: %d (%d served from the joint plan cache)\n\n",
 		mj.FleetPlans, mj.FleetPlanReuses)
 

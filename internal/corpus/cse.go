@@ -1,5 +1,5 @@
-// Duplicated-shape fleet generation: the workload cross-tenant shape
-// factoring (service.WithShapeFactoring) monetizes. A multi-tenant
+// Duplicated-shape fleet generation: the workload the service's
+// cross-tenant shape factoring monetizes. A multi-tenant
 // deployment rarely carries N distinct query shapes — tenants install
 // the same alert templates over the same shared feeds — so the fleet
 // collapses to M distinct shapes with N/M subscribers each, and the

@@ -346,7 +346,7 @@ func (e *Engine) Compile(text string) (*Query, error) {
 // streams, windows, probabilities and predicate labels). Queries with
 // equal shape keys plan identically and yield identical verdicts at any
 // tick, so a fleet runtime may evaluate one representative and share the
-// result (see service.WithShapeFactoring).
+// result (as the service's shape classes do).
 func (q *Query) ShapeKey() string { return q.shape }
 
 // ShapeHash returns the compact 64-bit id of the shape key (for display

@@ -330,20 +330,9 @@ func PlanJointWeighted(trees []*query.Tree, weights []int, warm sched.Warm) *Pla
 	return planJoint(trees, weights, warm, false)
 }
 
-// PlanJointReference plans with the seed O(u²) selection scan instead of
-// the lazy heap. It exists as the byte-identity oracle for the heap
-// planner's property tests and as the baseline BENCH_plan.json measures
-// the plan-time speedup against; production callers want PlanJoint.
-func PlanJointReference(trees []*query.Tree, warm sched.Warm) *Plan {
-	return planJoint(trees, nil, warm, true)
-}
-
-// PlanJointReferenceWeighted is the quadratic oracle for
-// PlanJointWeighted (same weighted tie-break, scan selection).
-func PlanJointReferenceWeighted(trees []*query.Tree, weights []int, warm sched.Warm) *Plan {
-	return planJoint(trees, weights, warm, true)
-}
-
+// planJoint is PlanJointWeighted with a choice of selection loop: the
+// lazy heap, or with quadratic set the seed O(u²) scan — the
+// byte-identity oracle the heap planner's tests compare against.
 func planJoint(trees []*query.Tree, weights []int, warm sched.Warm, quadratic bool) *Plan {
 	plan := &Plan{Queries: make([]QueryPlan, len(trees)), GreedyJoint: true}
 	if len(trees) == 0 {

@@ -3,10 +3,17 @@ package fleet
 import (
 	"math/rand/v2"
 	"testing"
+	"time"
 
 	"paotr/internal/query"
 	"paotr/internal/sched"
 )
+
+// planJointReference plans with the seed O(u²) selection scan instead of
+// the lazy heap: the oracle the heap planner must match byte for byte.
+func planJointReference(trees []*query.Tree, weights []int, warm sched.Warm) *Plan {
+	return planJoint(trees, weights, warm, true)
+}
 
 // samePlan asserts two joint plans are byte-identical: same schedules
 // leaf for leaf, bitwise-equal expected costs, same guardrail outcome.
@@ -40,9 +47,9 @@ func samePlan(t *testing.T, trial int, want, got *Plan) {
 
 // TestHeapPlannerMatchesReference is the byte-identity property test of
 // the tentpole: over hundreds of random overlapping fleets — cold and
-// warm, including zero-probability units that exercise the +Inf-key
-// fallback — the lazy-heap selection must reproduce the reference O(u²)
-// scan's schedules and costs exactly, not approximately.
+// warm, weighted and not, including zero-probability units that exercise
+// the +Inf-key fallback — the lazy-heap selection must reproduce the
+// reference O(u²) scan's schedules and costs exactly, not approximately.
 func TestHeapPlannerMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(61, 3))
 	for trial := 0; trial < 300; trial++ {
@@ -62,8 +69,15 @@ func TestHeapPlannerMatchesReference(t *testing.T) {
 		if trial%2 == 1 {
 			warm = randomWarm(rng, trees)
 		}
-		want := PlanJointReference(trees, warm)
-		got := PlanJoint(trees, warm)
+		var weights []int
+		if trial%3 == 2 {
+			weights = make([]int, len(trees))
+			for i := range weights {
+				weights[i] = 1 + rng.IntN(4)
+			}
+		}
+		want := planJointReference(trees, weights, warm)
+		got := PlanJointWeighted(trees, weights, warm)
 		samePlan(t, trial, want, got)
 	}
 }
@@ -76,7 +90,7 @@ func TestHeapPlannerDenseSharing(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		trees := randomFleet(rng, 6+rng.IntN(10), 1+rng.IntN(2))
 		warm := randomWarm(rng, trees)
-		samePlan(t, trial, PlanJointReference(trees, warm), PlanJoint(trees, warm))
+		samePlan(t, trial, planJointReference(trees, nil, warm), PlanJoint(trees, warm))
 	}
 }
 
@@ -101,6 +115,37 @@ func TestHeapPlannerDisjointStreams(t *testing.T) {
 			}
 			trees[qi] = tr
 		}
-		samePlan(t, trial, PlanJointReference(trees, nil), PlanJoint(trees, nil))
+		samePlan(t, trial, planJointReference(trees, nil, nil), PlanJoint(trees, nil))
+	}
+}
+
+// TestHeapPlannerSpeedup1k times one 1k-query joint plan with the heap
+// and with the quadratic reference: the heap must be at least 5x faster
+// and price the fleet bitwise identically. Each planner keeps its best
+// run, since load on a shared host only slows runs down; the short heap
+// runs get more tries to land in a quiet window.
+func TestHeapPlannerSpeedup1k(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock measurement of the quadratic reference planner")
+	}
+	trees := randomFleet(rand.New(rand.NewPCG(97, 13)), 1000, 64)
+	best := func(rounds int, plan func() *Plan) (time.Duration, *Plan) {
+		d, p := time.Duration(1<<63-1), (*Plan)(nil)
+		for i := 0; i < rounds; i++ {
+			t0 := time.Now()
+			p = plan()
+			d = min(d, time.Since(t0))
+		}
+		return d, p
+	}
+	quadDur, quad := best(2, func() *Plan { return planJointReference(trees, nil, nil) })
+	heapDur, heap := best(10, func() *Plan { return PlanJoint(trees, nil) })
+	if quad.Expected != heap.Expected {
+		t.Fatalf("heap plan expected %v, reference %v (must be bitwise identical)", heap.Expected, quad.Expected)
+	}
+	speedup := quadDur.Seconds() / heapDur.Seconds()
+	t.Logf("1k-query joint plan: quadratic %v, heap %v (%.1fx)", quadDur, heapDur, speedup)
+	if speedup < 5 {
+		t.Errorf("1k-query heap planner speedup %.1fx over the quadratic reference, want >= 5x", speedup)
 	}
 }

@@ -214,7 +214,7 @@ func NewTickHists() *TickHists { return &TickHists{} }
 
 // Observe records one phase duration. Allocation-free.
 func (t *TickHists) Observe(phase int, d time.Duration) {
-	if t == nil || phase < 0 || phase >= NumPhases {
+	if phase < 0 || phase >= NumPhases {
 		return
 	}
 	t.phase[phase].Observe(d)
@@ -222,7 +222,7 @@ func (t *TickHists) Observe(phase int, d time.Duration) {
 
 // Phase exposes one phase's histogram (e.g. for direct snapshotting).
 func (t *TickHists) Phase(i int) *Histogram {
-	if t == nil || i < 0 || i >= NumPhases {
+	if i < 0 || i >= NumPhases {
 		return nil
 	}
 	return &t.phase[i]
@@ -230,9 +230,6 @@ func (t *TickHists) Phase(i int) *Histogram {
 
 // Snapshot captures every phase histogram, keyed by phase name.
 func (t *TickHists) Snapshot() LatencySnapshot {
-	if t == nil {
-		return nil
-	}
 	out := make(LatencySnapshot, NumPhases)
 	for i := 0; i < NumPhases; i++ {
 		out[PhaseNames[i]] = t.phase[i].Snapshot()

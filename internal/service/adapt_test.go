@@ -15,11 +15,8 @@ import (
 
 // regimeService builds a service over the regime-shift corpus with every
 // scenario query registered.
-func regimeService(tb testing.TB, cfg corpus.RegimeConfig, cumulative bool, opts ...Option) *Service {
+func regimeService(tb testing.TB, cfg corpus.RegimeConfig, opts ...Option) *Service {
 	tb.Helper()
-	if cumulative {
-		opts = append(opts, WithCumulativeEstimator())
-	}
 	svc := New(corpus.RegimeRegistry(cfg), opts...)
 	for i, q := range corpus.RegimeQueries(cfg) {
 		if err := svc.Register(fmt.Sprintf("q%d", i), q); err != nil {
@@ -27,6 +24,29 @@ func regimeService(tb testing.TB, cfg corpus.RegimeConfig, cumulative bool, opts
 		}
 	}
 	return svc
+}
+
+// regimeWorkload runs the regime-shift corpus through the per-query
+// baseline (see newWorkload) for the given number of ticks.
+func regimeWorkload(tb testing.TB, cfg corpus.RegimeConfig, ticks int) *engine.Workload {
+	tb.Helper()
+	w := newWorkload(tb, corpus.RegimeRegistry(cfg), corpus.RegimeQueries(cfg)...)
+	if _, err := w.Run(ticks); err != nil {
+		tb.Fatal(err)
+	}
+	return w
+}
+
+// staleJPerTick is the baseline's realized post-shift J/tick over as many
+// ticks after the shift as before it.
+func staleJPerTick(tb testing.TB, cfg corpus.RegimeConfig) float64 {
+	tb.Helper()
+	w := regimeWorkload(tb, cfg, int(cfg.ShiftStep))
+	atShift := w.Spent()
+	if _, err := w.Run(int(cfg.ShiftStep)); err != nil {
+		tb.Fatal(err)
+	}
+	return (w.Spent() - atShift) / float64(cfg.ShiftStep)
 }
 
 // tickAll runs n ticks and fails on any execution error.
@@ -99,29 +119,29 @@ func TestStationaryWindowedMatchesCumulative(t *testing.T) {
 		t.Errorf("stationary run tripped detectors: %d predicate, %d cost", pt, ct)
 	}
 
-	// Service-level: identical verdicts and identical total spend.
-	wsvc := regimeService(t, cfg, false, WithWorkers(1))
-	csvc := regimeService(t, cfg, true, WithWorkers(1))
+	// Service-level: the windowed service spends exactly what the
+	// cumulative per-query baseline spends.
+	wsvc := regimeService(t, cfg, WithWorkers(1))
 	tickAll(t, wsvc, ticks)
-	tickAll(t, csvc, ticks)
-	wm, cm := wsvc.Metrics(), csvc.Metrics()
-	if math.Abs(wm.PaidCost-cm.PaidCost) > 1e-9 {
-		t.Errorf("stationary paid cost: windowed %.3f vs cumulative %.3f", wm.PaidCost, cm.PaidCost)
+	wm := wsvc.Metrics()
+	base := regimeWorkload(t, cfg, ticks)
+	if math.Abs(wm.PaidCost-base.Spent()) > 1e-9 {
+		t.Errorf("stationary paid cost: windowed service %.3f vs cumulative workload %.3f", wm.PaidCost, base.Spent())
 	}
 	if wm.PredicateDetectorTrips != 0 || wm.CostDetectorTrips != 0 || wm.ReplansForced != 0 {
 		t.Errorf("stationary service tripped: %+v", wm)
 	}
-	if wm.Estimator != "windowed" || cm.Estimator != "cumulative" {
-		t.Errorf("estimator names = %q, %q", wm.Estimator, cm.Estimator)
+	if wm.Estimator != "windowed" {
+		t.Errorf("estimator name = %q", wm.Estimator)
 	}
 }
 
-// measureShift runs the regime-shift scenario and returns the metrics
-// snapshot at the shift tick and at the end, so post-shift J/tick can be
-// compared across estimators.
-func measureShift(tb testing.TB, cfg corpus.RegimeConfig, cumulative bool) (atShift, atEnd Metrics, svc *Service) {
+// measureShift runs the regime-shift scenario through the service and
+// returns the metrics snapshot at the shift tick and at the end, so
+// post-shift J/tick can be compared against the baseline.
+func measureShift(tb testing.TB, cfg corpus.RegimeConfig) (atShift, atEnd Metrics, svc *Service) {
 	tb.Helper()
-	svc = regimeService(tb, cfg, cumulative, WithWorkers(4))
+	svc = regimeService(tb, cfg, WithWorkers(4))
 	post := int(cfg.ShiftStep)
 	tickAll(tb, svc, int(cfg.ShiftStep))
 	atShift = svc.Metrics()
@@ -131,16 +151,15 @@ func measureShift(tb testing.TB, cfg corpus.RegimeConfig, cumulative bool) (atSh
 
 // TestAdaptiveBeatsStaleAfterShift: acceptance — on the regime-shift
 // corpus, detector-driven replanning must realize >= 15% lower J/tick
-// than the cumulative-estimator baseline after the shift, the detectors
-// must actually fire, and the learned per-item costs must converge to
-// regime B's prices.
+// than the cumulative per-query baseline (engine.Workload) after the
+// shift, the detectors must actually fire, and the learned per-item
+// costs must converge to regime B's prices.
 func TestAdaptiveBeatsStaleAfterShift(t *testing.T) {
 	cfg := corpus.RegimeConfig{Seed: 17, ShiftStep: 250}
-	aShift, aEnd, asvc := measureShift(t, cfg, false)
-	cShift, cEnd, _ := measureShift(t, cfg, true)
+	aShift, aEnd, asvc := measureShift(t, cfg)
 	post := float64(cfg.ShiftStep)
 	adaptive := (aEnd.PaidCost - aShift.PaidCost) / post
-	stale := (cEnd.PaidCost - cShift.PaidCost) / post
+	stale := staleJPerTick(t, cfg)
 	saving := 1 - adaptive/stale
 	t.Logf("post-shift J/tick: adaptive %.2f vs stale %.2f (%.1f%% saving); trips=%d/%d replans=%d",
 		adaptive, stale, 100*saving, aEnd.PredicateDetectorTrips, aEnd.CostDetectorTrips, aEnd.ReplansForced)
@@ -155,9 +174,6 @@ func TestAdaptiveBeatsStaleAfterShift(t *testing.T) {
 	}
 	if aEnd.ReplansForced == 0 {
 		t.Error("detector trips forced no replans")
-	}
-	if cEnd.PredicateDetectorTrips != 0 || cEnd.ReplansForced != 0 {
-		t.Errorf("cumulative baseline reported adaptive activity: %+v", cEnd)
 	}
 	// Learned per-item costs converge to regime B's prices.
 	normed := corpus.RegimeConfig{Seed: 17, ShiftStep: 250, Streams: 4,
@@ -225,8 +241,8 @@ type adaptBenchFile struct {
 	Ticks     int   `json:"ticks"`
 	ShiftTick int64 `json:"shift_tick"`
 	// StaleJPerTick / AdaptiveJPerTick are realized post-shift costs per
-	// tick under the cumulative and windowed estimators; SavingPct their
-	// relative gap.
+	// tick of the cumulative per-query baseline (engine.Workload) and of
+	// the windowed service; SavingPct their relative gap.
 	StaleJPerTick    float64 `json:"stale_j_per_tick"`
 	AdaptiveJPerTick float64 `json:"adaptive_j_per_tick"`
 	SavingPct        float64 `json:"saving_pct"`
@@ -234,8 +250,8 @@ type adaptBenchFile struct {
 	CostTrips        int64   `json:"cost_trips"`
 	ReplansForced    int64   `json:"replans_forced"`
 	// StationaryTrips must be 0: the detectors stay quiet without a
-	// shift (the windowed default then plans byte-identically to the
-	// cumulative baseline; see TestStationaryWindowedMatchesCumulative).
+	// shift (the windowed service then spends exactly what the cumulative
+	// baseline spends; see TestStationaryWindowedMatchesCumulative).
 	StationaryTrips int64 `json:"stationary_trips"`
 }
 
@@ -248,18 +264,17 @@ func TestWriteAdaptBenchJSON(t *testing.T) {
 		t.Skip("set PAOTR_BENCH_ADAPT_JSON=<path> to write the benchmark artifact")
 	}
 	cfg := corpus.RegimeConfig{Seed: 17, ShiftStep: 250}
-	aShift, aEnd, _ := measureShift(t, cfg, false)
-	cShift, cEnd, _ := measureShift(t, cfg, true)
+	aShift, aEnd, _ := measureShift(t, cfg)
 	post := float64(cfg.ShiftStep)
 
-	stat := regimeService(t, corpus.RegimeConfig{Seed: 23}, false, WithWorkers(4))
+	stat := regimeService(t, corpus.RegimeConfig{Seed: 23}, WithWorkers(4))
 	tickAll(t, stat, 300)
 	sm := stat.Metrics()
 
 	file := adaptBenchFile{
 		Ticks:            2 * int(cfg.ShiftStep),
 		ShiftTick:        cfg.ShiftStep,
-		StaleJPerTick:    (cEnd.PaidCost - cShift.PaidCost) / post,
+		StaleJPerTick:    staleJPerTick(t, cfg),
 		AdaptiveJPerTick: (aEnd.PaidCost - aShift.PaidCost) / post,
 		PredicateTrips:   aEnd.PredicateDetectorTrips,
 		CostTrips:        aEnd.CostDetectorTrips,

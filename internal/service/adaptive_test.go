@@ -74,40 +74,44 @@ func TestAdaptiveAndLinearSharedMatchesSequential(t *testing.T) {
 }
 
 // TestBatchingCostNeutralAndCountsDuplicates: batched acquisition must
-// not change verdicts or the fleet's total paid cost — it only moves
-// first-leaf pulls from racing workers to the batcher — and it must
-// report the duplicate first-leaf pulls it coalesced away.
+// not change verdicts — every tenant sees what the per-query baseline
+// (engine.Workload) computes — and the fleet's PaidCost, batched pulls
+// included, must be exactly what the cache spent per stream. The batcher
+// must report the duplicate first-leaf pulls it coalesced away.
 func TestBatchingCostNeutralAndCountsDuplicates(t *testing.T) {
-	run := func(batch bool) ([]TickResult, Metrics) {
-		svc := New(testRegistry(9), WithWorkers(4), WithBatchedAcquisition(batch))
-		for i, qtext := range fleetQueries() {
-			if err := svc.Register(fmt.Sprintf("q%d", i), qtext); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return svc.Run(40), svc.Metrics()
-	}
-	onTicks, on := run(true)
-	offTicks, off := run(false)
-	for i := range onTicks {
-		for j := range onTicks[i].Executions {
-			a, b := onTicks[i].Executions[j], offTicks[i].Executions[j]
-			if a.Value != b.Value || a.Err != b.Err {
-				t.Fatalf("tick %d execution %s: batching changed outcome (%+v vs %+v)", i, a.ID, a, b)
-			}
+	const ticks = 40
+	svc := New(testRegistry(9), WithWorkers(4))
+	for i, qtext := range fleetQueries() {
+		if err := svc.Register(fmt.Sprintf("q%d", i), qtext); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if math.Abs(on.PaidCost-off.PaidCost) > 1e-6 {
-		t.Errorf("batching changed total paid cost: %.6f vs %.6f", on.PaidCost, off.PaidCost)
+	got := svc.Run(ticks)
+	m := svc.Metrics()
+	want, err := newWorkload(t, testRegistry(9), fleetQueries()...).Run(ticks)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if on.DuplicatePullsAvoided == 0 || on.BatchedItems == 0 || on.BatchedCost == 0 {
-		t.Errorf("batching on but no batch activity recorded: %+v", on)
+	for i := range got {
+		for j, e := range got[i].Executions {
+			if e.Err != "" || e.Value != want[i].Results[j].Value {
+				t.Fatalf("tick %d execution %s: (%v, %q), per-query baseline %v",
+					i+1, e.ID, e.Value, e.Err, want[i].Results[j].Value)
+			}
+		}
 	}
-	if off.DuplicatePullsAvoided != 0 || off.BatchedItems != 0 || off.BatchedCost != 0 {
-		t.Errorf("batching off but batch metrics non-zero: %+v", off)
+	spent := 0.0
+	for _, ps := range m.PerStream {
+		spent += ps.Spent
 	}
-	t.Logf("batcher coalesced %d duplicate first-leaf pulls (%d items, %.2f J) at equal total cost %.2f J",
-		on.DuplicatePullsAvoided, on.BatchedItems, on.BatchedCost, on.PaidCost)
+	if math.Abs(m.PaidCost-spent) > 1e-9*math.Max(spent, 1) {
+		t.Errorf("PaidCost %.6f != per-stream spent %.6f", m.PaidCost, spent)
+	}
+	if m.DuplicatePullsAvoided == 0 || m.BatchedItems == 0 || m.BatchedCost == 0 {
+		t.Errorf("no batch activity recorded: %+v", m)
+	}
+	t.Logf("batcher coalesced %d duplicate first-leaf pulls (%d items, %.2f J of %.2f J paid)",
+		m.DuplicatePullsAvoided, m.BatchedItems, m.BatchedCost, m.PaidCost)
 }
 
 // TestStrategyMetricsExposed: per-query metrics must report the executor

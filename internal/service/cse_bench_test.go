@@ -9,24 +9,17 @@ import (
 	"time"
 
 	"paotr/internal/corpus"
-	"paotr/internal/stream"
 )
 
 // cseBenchService registers a duplicated-shape fleet for the CSE
 // benchmark (one worker, so per-tick work is deterministic).
-func cseBenchService(tb testing.TB, cfg corpus.CSEConfig, opts ...Option) *Service {
+func cseBenchService(tb testing.TB, cfg corpus.CSEConfig) *Service {
 	tb.Helper()
-	reg := stream.NewRegistry()
-	for i, name := range cfg.StreamNames() {
-		if err := reg.Add(stream.Uniform(name, uint64(i+1)), stream.CostModel{BaseJoules: 1}); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	// History 8 on every arm: the per-identity Results buffer is an
-	// orthogonal O(tenants*history) product feature — at 10k tenants the
-	// default of 64 retains ~640k executions whose GC scanning would
-	// dominate the measurement on both sides of the comparison.
-	svc := New(reg, append([]Option{WithWorkers(1), WithHistory(8)}, opts...)...)
+	// History 8: the per-identity Results buffer is an orthogonal
+	// O(tenants*history) product feature — at 10k tenants the default of
+	// 64 retains ~640k executions whose GC scanning would dominate the
+	// measurement.
+	svc := New(cseRegistry(tb, cfg), WithWorkers(1), WithHistory(8))
 	for _, q := range corpus.CSEFleet(cfg) {
 		if err := svc.Register(q.ID, q.Text); err != nil {
 			tb.Fatal(err)
@@ -38,13 +31,13 @@ func cseBenchService(tb testing.TB, cfg corpus.CSEConfig, opts ...Option) *Servi
 // timeTicks returns the average steady-state wall-clock time of one
 // tick, discarding each result (Run would retain every tick's execution
 // slice and measure the garbage collector instead of the tick).
-func timeTicks(svc *Service, warmup, ticks int) time.Duration {
+func timeTicks(tick func(), warmup, ticks int) time.Duration {
 	for i := 0; i < warmup; i++ {
-		svc.Tick()
+		tick()
 	}
 	t0 := time.Now()
 	for i := 0; i < ticks; i++ {
-		svc.Tick()
+		tick()
 	}
 	return time.Since(t0) / time.Duration(ticks)
 }
@@ -59,16 +52,15 @@ type cseBenchFile struct {
 	GoMaxProcs int `json:"gomaxprocs"`
 	Tenants    int `json:"tenants"`
 	Shapes     int `json:"shapes"`
-	// Per-tick wall-clock of the 10k-tenant fleet with factoring on and
-	// off under per-query planning (see the writer for why), of the
-	// factored fleet under the full default pipeline, and of a 100-query
-	// fleet holding one subscriber per shape.
+	// Per-tick wall-clock of the 10k-tenant fleet through the factoring
+	// service and through engine.Workload (every tenant planned and
+	// evaluated on its own: the unfactored baseline), and of a 100-query
+	// service fleet holding one subscriber per shape.
 	FactoredTickMs   float64 `json:"factored_tick_ms"`
 	UnfactoredTickMs float64 `json:"unfactored_tick_ms"`
-	FullTickMs       float64 `json:"full_tick_ms"`
 	SingletonTickMs  float64 `json:"singleton_tick_ms"`
 	// Speedup is UnfactoredTickMs / FactoredTickMs (raw, ungated);
-	// FanoutOverhead is FullTickMs / SingletonTickMs — what carrying
+	// FanoutOverhead is FactoredTickMs / SingletonTickMs — what carrying
 	// 9,900 extra subscriber identities costs over the 100 evaluations.
 	Speedup        float64 `json:"speedup"`
 	FanoutOverhead float64 `json:"fanout_overhead"`
@@ -83,8 +75,9 @@ type cseBenchFile struct {
 // names an output path (the CI perf-trajectory artifact; skipped
 // otherwise). It carries the tentpole's acceptance assertions: a
 // 10k-tenant fleet drawing on 100 distinct shapes must tick at least 5x
-// faster factored than unfactored, and within 3x of a 100-query fleet
-// that holds one subscriber per shape.
+// faster through the factoring service than through the per-query
+// baseline, and within 3x of a 100-query fleet that holds one subscriber
+// per shape.
 func TestWriteCSEBenchJSON(t *testing.T) {
 	out := os.Getenv("PAOTR_BENCH_CSE_JSON")
 	if out == "" {
@@ -92,38 +85,29 @@ func TestWriteCSEBenchJSON(t *testing.T) {
 	}
 	cfg := corpus.CSEConfig{Tenants: 10000, Shapes: 100, Streams: 32, Seed: 271}
 
-	// The speedup arms run with per-query planning: the unfactored joint
-	// planner is quadratic across 10k queries and would dominate the
-	// unfactored tick, inflating the ratio. Disabling it on both sides
-	// isolates the evaluation-path factoring, so the gated speedup is a
-	// conservative lower bound on the end-to-end benefit.
-	factored := cseBenchService(t, cfg, WithFleetPlanning(false))
-	factoredTick := timeTicks(factored, 10, 100)
-	m := factored.Metrics()
-	if m.DistinctShapes != cfg.Shapes {
+	w := cseWorkload(t, cfg)
+	unfactoredTick := timeTicks(func() {
+		if _, err := w.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}, 2, 8)
+	w = nil
+	runtime.GC() // drop the dead arm before the ratio-sensitive ones
+
+	factored := cseBenchService(t, cfg)
+	factoredTick := timeTicks(func() { factored.Tick() }, 10, 100)
+	if m := factored.Metrics(); m.DistinctShapes != cfg.Shapes {
 		t.Fatalf("factored fleet interned %d shapes, want %d", m.DistinctShapes, cfg.Shapes)
 	}
-	factored = nil
-
-	unfactored := cseBenchService(t, cfg, WithFleetPlanning(false), WithShapeFactoring(false))
-	unfactoredTick := timeTicks(unfactored, 2, 8)
-	unfactored = nil
-	runtime.GC() // drop the dead arms before the ratio-sensitive ones
-
-	// The fan-out-overhead arm keeps the full default pipeline (joint
-	// fleet planning included): factored, 10k tenants over 100 shapes
-	// must tick close to a 100-query fleet holding one tenant per shape.
-	full := cseBenchService(t, cfg)
-	fullTick := timeTicks(full, 10, 100)
 	single := cfg
 	single.Tenants = cfg.Shapes
 	singleton := cseBenchService(t, single)
-	singletonTick := timeTicks(singleton, 10, 300)
+	singletonTick := timeTicks(func() { singleton.Tick() }, 10, 300)
 
 	speedup := unfactoredTick.Seconds() / factoredTick.Seconds()
-	overhead := fullTick.Seconds() / singletonTick.Seconds()
+	overhead := factoredTick.Seconds() / singletonTick.Seconds()
 	if speedup < 5 {
-		t.Errorf("factored 10k/100-shape fleet speedup %.1fx over unfactored, want >= 5x", speedup)
+		t.Errorf("factored 10k/100-shape fleet speedup %.1fx over the per-query workload, want >= 5x", speedup)
 	}
 	if overhead > 3 {
 		t.Errorf("factored 10k-tenant fleet ticks %.2fx slower than the 100-query fleet, want <= 3x", overhead)
@@ -135,7 +119,6 @@ func TestWriteCSEBenchJSON(t *testing.T) {
 		Shapes:           cfg.Shapes,
 		FactoredTickMs:   factoredTick.Seconds() * 1e3,
 		UnfactoredTickMs: unfactoredTick.Seconds() * 1e3,
-		FullTickMs:       fullTick.Seconds() * 1e3,
 		SingletonTickMs:  singletonTick.Seconds() * 1e3,
 		Speedup:          speedup,
 		FanoutOverhead:   overhead,
@@ -154,6 +137,6 @@ func TestWriteCSEBenchJSON(t *testing.T) {
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: tick %.2fms factored vs %.2fms unfactored (%.1fx), %.2fms singleton (%.2fx overhead)",
+	t.Logf("wrote %s: tick %.2fms factored vs %.2fms per-query workload (%.1fx), %.2fms singleton (%.2fx overhead)",
 		out, file.FactoredTickMs, file.UnfactoredTickMs, speedup, file.SingletonTickMs, overhead)
 }

@@ -34,14 +34,21 @@ func overlapRegistry(tb testing.TB, tenants int, seed uint64) *stream.Registry {
 	return reg
 }
 
-// overlapFleet registers one query per tenant: an OR of a shared-stream
-// branch and a private-stream branch with annotated probabilities, so
-// planning is deterministic and the shared/private tie is controlled.
+// overlapTexts is one query per tenant: an OR of a shared-stream branch
+// and a private-stream branch with annotated probabilities, so planning
+// is deterministic and the shared/private tie is controlled.
+func overlapTexts(tenants int) []string {
+	out := make([]string, tenants)
+	for i := range out {
+		out[i] = fmt.Sprintf("(AVG(shared,4) > 0.2 [p=0.5]) OR (AVG(private%d,4) > 0.2 [p=0.5])", i)
+	}
+	return out
+}
+
+// overlapFleet registers overlapTexts as tenant0..tenant<n-1>.
 func overlapFleet(tb testing.TB, svc Runtime, tenants int) {
 	tb.Helper()
-	for i := 0; i < tenants; i++ {
-		text := fmt.Sprintf(
-			"(AVG(shared,4) > 0.2 [p=0.5]) OR (AVG(private%d,4) > 0.2 [p=0.5])", i)
+	for i, text := range overlapTexts(tenants) {
 		if err := svc.Register(fmt.Sprintf("tenant%d", i), text); err != nil {
 			tb.Fatal(err)
 		}
@@ -60,7 +67,7 @@ func TestFleetPlanningSharedMatchesSequential(t *testing.T) {
 	const ticks = 60
 	queries := fleetQueries()
 
-	svc := New(testRegistry(seed), WithWorkers(8), WithFleetPlanning(true))
+	svc := New(testRegistry(seed), WithWorkers(8))
 	for i, q := range queries {
 		if err := svc.Register(fmt.Sprintf("q%d", i), q); err != nil {
 			t.Fatal(err)
@@ -125,31 +132,31 @@ func TestFleetPlanningSharedMatchesSequential(t *testing.T) {
 
 // TestFleetPlanningRealizesSaving: on the overlapping-tenant corpus,
 // joint planning must realize a lower (or equal) total acquisition cost
-// than independent per-query planning over the same streams, and a
-// strictly lower modelled cost.
+// than the per-query baseline (engine.Workload) over the same streams,
+// and a strictly lower modelled cost than independent planning.
 func TestFleetPlanningRealizesSaving(t *testing.T) {
 	const tenants = 6
 	ticks := 400
 	if testing.Short() {
 		ticks = 120
 	}
-	run := func(fleetOn bool) Metrics {
-		svc := New(overlapRegistry(t, tenants, 99), WithWorkers(4), WithFleetPlanning(fleetOn))
-		overlapFleet(t, svc, tenants)
-		svc.Run(ticks)
-		return svc.Metrics()
+	svc := New(overlapRegistry(t, tenants, 99), WithWorkers(4))
+	overlapFleet(t, svc, tenants)
+	svc.Run(ticks)
+	on := svc.Metrics()
+	w := newWorkload(t, overlapRegistry(t, tenants, 99), overlapTexts(tenants)...)
+	if _, err := w.Run(ticks); err != nil {
+		t.Fatal(err)
 	}
-	on := run(true)
-	off := run(false)
 	if on.FleetExpectedCost >= on.IndependentExpectedCost {
 		t.Errorf("joint planning modelled no saving: fleet %v vs independent %v",
 			on.FleetExpectedCost, on.IndependentExpectedCost)
 	}
-	if on.PaidCost > off.PaidCost*1.01 {
-		t.Errorf("fleet planning paid %.1f J, independent planning %.1f J", on.PaidCost, off.PaidCost)
+	if on.PaidCost > w.Spent()*1.01 {
+		t.Errorf("fleet planning paid %.1f J, per-query workload %.1f J", on.PaidCost, w.Spent())
 	}
-	t.Logf("realized over %d ticks: fleet %.1f J vs independent %.1f J (%.1f%% saved); modelled saving %.1f%%",
-		ticks, on.PaidCost, off.PaidCost, 100*(1-on.PaidCost/off.PaidCost), 100*on.FleetModelledSaving)
+	t.Logf("realized over %d ticks: fleet %.1f J vs per-query workload %.1f J (%.1f%% saved); modelled saving %.1f%%",
+		ticks, on.PaidCost, w.Spent(), 100*(1-on.PaidCost/w.Spent()), 100*on.FleetModelledSaving)
 }
 
 // TestPerStreamMetricsExposed: the fleet snapshot must break traffic
@@ -241,72 +248,6 @@ func TestRegisterInvalidatesFleetPlans(t *testing.T) {
 	}
 }
 
-// BenchmarkFleetVsIndependent measures realized acquisition cost and
-// tick throughput of joint versus per-query planning on the
-// overlapping-tenant corpus. J/tick is the headline: the fleet planner
-// should pay measurably less per tick by steering every tenant onto the
-// shared stream.
-func BenchmarkFleetVsIndependent(b *testing.B) {
-	const tenants = 6
-	bench := func(b *testing.B, fleetOn bool) {
-		svc := New(overlapRegistry(b, tenants, 99), WithWorkers(4), WithFleetPlanning(fleetOn))
-		overlapFleet(b, svc, tenants)
-		svc.Run(3) // steady state
-		start := svc.Metrics().PaidCost
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			svc.Tick()
-		}
-		b.StopTimer()
-		b.ReportMetric((svc.Metrics().PaidCost-start)/float64(b.N), "J/tick")
-	}
-	b.Run("independent", func(b *testing.B) { bench(b, false) })
-	b.Run("fleet", func(b *testing.B) { bench(b, true) })
-}
-
-// wideFleet builds a service whose tick is dominated by cache traffic:
-// many queries over many disjoint streams, each evaluating wide windows
-// on several streams, with stable annotated probabilities so the plan
-// caches absorb planning and phase 3's concurrent pulls are the
-// bottleneck the stripe count controls.
-func wideFleet(tb testing.TB, stripes int) *Service {
-	const streams = 16
-	reg := stream.NewRegistry()
-	for i := 0; i < streams; i++ {
-		if err := reg.Add(stream.Uniform(fmt.Sprintf("s%d", i), uint64(i+1)), stream.CostModel{BaseJoules: 1}); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	svc := New(reg, WithWorkers(8), WithCacheStripes(stripes), WithBatchedAcquisition(false))
-	for q := 0; q < 2*streams; q++ {
-		base := q % streams
-		text := fmt.Sprintf(
-			"AVG(s%d,48) > 0.01 [p=0.95] AND AVG(s%d,40) > 0.01 [p=0.95] AND AVG(s%d,32) > 0.01 [p=0.95]",
-			base, (base+1)%streams, (base+2)%streams)
-		if err := svc.Register(fmt.Sprintf("q%d", q), text); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	return svc
-}
-
-// BenchmarkShardedVsGlobalCacheTicks measures service tick throughput
-// with the per-stream striped cache versus the single-lock baseline, on
-// a fleet whose queries spread over many disjoint streams so phase 3
-// pulls can proceed in parallel.
-func BenchmarkShardedVsGlobalCacheTicks(b *testing.B) {
-	bench := func(b *testing.B, stripes int) {
-		svc := wideFleet(b, stripes)
-		svc.Run(3)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			svc.Tick()
-		}
-	}
-	b.Run("global", func(b *testing.B) { bench(b, 1) })
-	b.Run("sharded", func(b *testing.B) { bench(b, 0) })
-}
-
 // fleetBenchResult is one row of BENCH_fleet.json. Planning rows report
 // J/tick and ticks/sec of the scheduling service; cache rows report the
 // concurrent multi-stream Acquire throughput that bounds tick throughput
@@ -329,8 +270,8 @@ type fleetBenchResult struct {
 type fleetBenchFile struct {
 	GoMaxProcs int                `json:"gomaxprocs"`
 	Results    []fleetBenchResult `json:"results"`
-	// FleetSavingPct is the realized J/tick saving of fleet over
-	// independent planning; ShardedSpeedup the concurrent-acquire
+	// FleetSavingPct is the realized J/tick saving of fleet planning over
+	// the per-query workload; ShardedSpeedup the concurrent-acquire
 	// throughput ratio of the striped cache over the single global lock
 	// (meaningful on multi-core hosts; see MutexWaitNsPerOp for the
 	// host-independent contention picture).
@@ -417,33 +358,34 @@ func TestWriteFleetBenchJSON(t *testing.T) {
 		t.Skip("set PAOTR_BENCH_JSON=<path> to write the benchmark artifact")
 	}
 	const ticks = 600
-	measure := func(name string, mk func() *Service) fleetBenchResult {
-		svc := mk()
-		svc.Run(3)
-		start := svc.Metrics().PaidCost
+	// measure runs 3 warm-up ticks, then times ticks more and prices them
+	// by what spent() grew.
+	measure := func(name string, run func(n int), spent func() float64) fleetBenchResult {
+		run(3)
+		start := spent()
 		t0 := time.Now()
-		svc.Run(ticks)
+		run(ticks)
 		dt := time.Since(t0)
 		return fleetBenchResult{
 			Name:     name,
 			Unit:     "tick",
 			Ops:      ticks,
-			JPerTick: (svc.Metrics().PaidCost - start) / ticks,
+			JPerTick: (spent() - start) / ticks,
 			PerSec:   float64(ticks) / dt.Seconds(),
 		}
 	}
 	const tenants = 6
-	mkOverlap := func(fleetOn bool) func() *Service {
-		return func() *Service {
-			svc := New(overlapRegistry(t, tenants, 99), WithWorkers(4), WithFleetPlanning(fleetOn))
-			overlapFleet(t, svc, tenants)
-			return svc
-		}
-	}
+	w := newWorkload(t, overlapRegistry(t, tenants, 99), overlapTexts(tenants)...)
+	svc := New(overlapRegistry(t, tenants, 99), WithWorkers(4))
+	overlapFleet(t, svc, tenants)
 
 	file := fleetBenchFile{GoMaxProcs: runtime.GOMAXPROCS(0)}
-	indep := measure("planning/independent", mkOverlap(false))
-	fleetRes := measure("planning/fleet", mkOverlap(true))
+	indep := measure("planning/per-query-workload", func(n int) {
+		if _, err := w.Run(n); err != nil {
+			t.Fatal(err)
+		}
+	}, w.Spent)
+	fleetRes := measure("planning/fleet", func(n int) { svc.Run(n) }, func() float64 { return svc.Metrics().PaidCost })
 	// Interleave the two cache configurations: host-load drift between
 	// back-to-back measurements would otherwise bias the ratio.
 	var global, sharded fleetBenchResult
@@ -466,7 +408,7 @@ func TestWriteFleetBenchJSON(t *testing.T) {
 		file.MutexWaitReduction = global.MutexWaitNsPerOp / sharded.MutexWaitNsPerOp
 	}
 	if fleetRes.JPerTick > indep.JPerTick*1.01 {
-		t.Errorf("fleet planning J/tick %.2f exceeds independent %.2f", fleetRes.JPerTick, indep.JPerTick)
+		t.Errorf("fleet planning J/tick %.2f exceeds the per-query workload's %.2f", fleetRes.JPerTick, indep.JPerTick)
 	}
 	if file.ShardedSpeedup < 0.95 {
 		// The lock-free view fast path must close the striping gap: warm

@@ -44,17 +44,16 @@ func planCorpus(n, streams int, rng *rand.Rand) []*query.Tree {
 }
 
 // timePlan returns the best-of-rounds wall-clock time of one joint plan.
-func timePlan(rounds int, plan func() *fleet.Plan) (time.Duration, *fleet.Plan) {
+func timePlan(rounds int, plan func()) time.Duration {
 	best := time.Duration(1<<63 - 1)
-	var p *fleet.Plan
 	for i := 0; i < rounds; i++ {
 		t0 := time.Now()
-		p = plan()
+		plan()
 		if dt := time.Since(t0); dt < best {
 			best = dt
 		}
 	}
-	return best, p
+	return best
 }
 
 // planBenchRow is one planner-scaling measurement of BENCH_plan.json.
@@ -71,9 +70,6 @@ type planBenchRow struct {
 type planBenchFile struct {
 	GoMaxProcs int            `json:"gomaxprocs"`
 	Plan       []planBenchRow `json:"plan"`
-	// HeapSpeedup1k is the reference (quadratic-scan) planner's 1k-query
-	// plan time divided by the heap planner's — the tentpole's headline.
-	HeapSpeedup1k float64 `json:"heap_speedup_1k"`
 	// TicksPerSec is steady-state tick throughput of a 48-query fleet at
 	// one worker; AllocsPerTick the heap allocations one such tick costs.
 	TicksPerSec   float64 `json:"ticks_per_sec"`
@@ -108,10 +104,8 @@ func allocBenchService(tb testing.TB, opts ...Option) *Service {
 
 // TestWritePlanBenchJSON emits BENCH_plan.json when PAOTR_BENCH_PLAN_JSON
 // names an output path (the CI perf-trajectory artifact; skipped
-// otherwise). It also carries the tentpole's acceptance assertions: the
-// lazy-heap planner must plan a 1k-query fleet at least 5x faster than
-// the retained quadratic reference while producing the bitwise-identical
-// joint expected cost.
+// otherwise). The heap planner's speedup over the quadratic reference is
+// asserted in internal/fleet (TestHeapPlannerSpeedup1k).
 func TestWritePlanBenchJSON(t *testing.T) {
 	out := os.Getenv("PAOTR_BENCH_PLAN_JSON")
 	if out == "" {
@@ -122,17 +116,8 @@ func TestWritePlanBenchJSON(t *testing.T) {
 	corpus1k := planCorpus(1000, streams, rng)
 	corpus10k := planCorpus(10000, streams, rng)
 
-	quadMs, quadPlan := timePlan(3, func() *fleet.Plan { return fleet.PlanJointReference(corpus1k, nil) })
-	heapMs, heapPlan := timePlan(3, func() *fleet.Plan { return fleet.PlanJoint(corpus1k, nil) })
-	heap10kMs, _ := timePlan(1, func() *fleet.Plan { return fleet.PlanJoint(corpus10k, nil) })
-	if quadPlan.Expected != heapPlan.Expected {
-		t.Fatalf("heap plan expected %v, reference %v (must be bitwise identical)",
-			heapPlan.Expected, quadPlan.Expected)
-	}
-	speedup := quadMs.Seconds() / heapMs.Seconds()
-	if speedup < 5 {
-		t.Errorf("1k-query heap planner speedup %.1fx over the quadratic reference, want >= 5x", speedup)
-	}
+	heapMs := timePlan(3, func() { fleet.PlanJoint(corpus1k, nil) })
+	heap10kMs := timePlan(1, func() { fleet.PlanJoint(corpus10k, nil) })
 
 	svc := allocBenchService(t)
 	svc.Run(80) // past history-buffer warm-up so steady-state allocs are measured
@@ -145,11 +130,9 @@ func TestWritePlanBenchJSON(t *testing.T) {
 	file := planBenchFile{
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 		Plan: []planBenchRow{
-			{Name: "plan/quad-1k", Queries: 1000, PlanMs: quadMs.Seconds() * 1e3},
 			{Name: "plan/heap-1k", Queries: 1000, PlanMs: heapMs.Seconds() * 1e3},
 			{Name: "plan/heap-10k", Queries: 10000, PlanMs: heap10kMs.Seconds() * 1e3},
 		},
-		HeapSpeedup1k: speedup,
 		TicksPerSec:   ticksPerSec,
 		AllocsPerTick: allocs,
 	}
@@ -165,6 +148,6 @@ func TestWritePlanBenchJSON(t *testing.T) {
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: 1k-query plan %.1fms -> %.1fms (%.1fx), 10k-query %.1fms, %.0f ticks/sec, %.0f allocs/tick",
-		out, file.Plan[0].PlanMs, file.Plan[1].PlanMs, speedup, file.Plan[2].PlanMs, ticksPerSec, allocs)
+	t.Logf("wrote %s: 1k-query plan %.1fms, 10k-query %.1fms, %.0f ticks/sec, %.0f allocs/tick",
+		out, file.Plan[0].PlanMs, file.Plan[1].PlanMs, ticksPerSec, allocs)
 }

@@ -51,12 +51,9 @@ func (s *Service) QuoteRegister(id, text string, opts ...QueryOption) (Quote, er
 		o(r)
 	}
 	var q *engine.Query
-	if s.shapeFactor {
-		if c := s.textMemo[s.executorFor(r).Name()+"\x00"+text]; c != nil {
-			q = c.q
-		}
-	}
-	if q == nil {
+	if c := s.textMemo[s.executorFor(r).Name()+"\x00"+text]; c != nil {
+		q = c.q
+	} else {
 		compiled, err := s.eng.Compile(text)
 		if err != nil {
 			return Quote{}, fmt.Errorf("service: compiling %q: %w", id, err)
@@ -75,11 +72,6 @@ func (s *Service) QuoteRegister(id, text string, opts ...QueryOption) (Quote, er
 	// Locked and the joint dry run below each apply the relay cost
 	// scaling once, and it must not compound on a shared tree.
 	quote := Quote{IndependentJPerTick: s.independentPriceLocked(q.Tree())}
-	if !s.fleetPlan {
-		// Without joint planning every query pays its own way.
-		quote.MarginalJPerTick = quote.IndependentJPerTick
-		return quote, nil
-	}
 	if _, linear := s.executorFor(r).(engine.LinearExecutor); !linear {
 		// Non-linear executors do not participate in the joint plan;
 		// their marginal cost is their independent price.
@@ -124,14 +116,10 @@ func (s *Service) independentPriceLocked(tree *query.Tree) float64 {
 	return p.Expected
 }
 
-// quotePlanKey derives the plan key the newcomer's class would get —
-// the shape-derived key under factoring, the id otherwise — so the
-// dry-run patch prices against exactly the due set a real admission
-// produces.
+// quotePlanKey derives the shape-derived plan key the newcomer's class
+// would get, so the dry-run patch prices against exactly the due set a
+// real admission produces.
 func (s *Service) quotePlanKey(r *registered) string {
-	if !s.shapeFactor {
-		return r.id
-	}
 	pk := fmt.Sprintf("shape:%016x", r.q.ShapeHash())
 	for n := 1; ; n++ {
 		if _, taken := s.planKeys[pk]; !taken {
@@ -184,11 +172,7 @@ func (sh *Sharded) QuoteRegister(id, text string, opts ...QueryOption) (Quote, e
 		if err != nil {
 			return Quote{}, fmt.Errorf("service: compiling %q: %w", id, err)
 		}
-		ck := "id\x00" + id
-		if sh.shapeFactor {
-			ck = coordClassKey(q, opts)
-		}
-		if owner, placed := sh.classShard[ck]; placed {
+		if owner, placed := sh.classShard[coordClassKey(q, opts)]; placed {
 			target = owner
 		} else {
 			prof := shard.Profile(id, q.Tree())

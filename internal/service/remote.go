@@ -508,7 +508,7 @@ func NewShardedRemote(reg *stream.Registry, endpoints []string, opts ...Option) 
 	if len(endpoints) == 0 {
 		return nil, errors.New("service: no worker endpoints")
 	}
-	cfg := config{balance: 0, shapeFactor: true}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -538,10 +538,8 @@ func NewShardedRemote(reg *stream.Registry, endpoints []string, opts ...Option) 
 			// adopted fleet may already hold a class split across workers
 			// (pre-factoring state); the next repartition reunites it.
 			ck := "id\x00" + wq.ID
-			if sh.shapeFactor {
-				if q, err := engine.New(reg).Compile(wq.Query); err == nil {
-					ck = coordClassKey(q, qopts)
-				}
+			if q, err := engine.New(reg).Compile(wq.Query); err == nil {
+				ck = coordClassKey(q, qopts)
 			}
 			sh.shapeOf[wq.ID] = ck
 			sh.classSize[ck]++

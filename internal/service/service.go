@@ -37,38 +37,33 @@ import (
 // registry and acquisition cache. All methods are safe for concurrent
 // use; Register/Unregister serialize against running ticks.
 type Service struct {
-	mu        sync.Mutex
-	reg       *stream.Registry
-	eng       *engine.Engine
-	cache     *acquisition.Cache
-	queries   map[string]*registered
-	order     []*registered // registration order, for deterministic dispatch
-	workers   int
-	history   int
-	exec      engine.Executor // default executor for queries without one
-	batch     bool            // batched first-leaf acquisition in Tick
-	fleetPlan bool            // cross-query joint planning in Tick
-	planner   *fleet.Planner  // fleet-level plan cache
-	// shapeFactor interns registered queries into shape equivalence
-	// classes (see WithShapeFactoring): classes holds them by canonical
-	// shape key, classList in creation order (the deterministic iteration
-	// drainTrips and Metrics use), and planKeys maps a class's fleet
-	// plan-cache key back to it for collision disambiguation. Off, every
-	// query is its own singleton class keyed by id — the exact pre-shape
-	// behaviour.
+	mu      sync.Mutex
+	reg     *stream.Registry
+	eng     *engine.Engine
+	cache   *acquisition.Cache
+	queries map[string]*registered
+	order   []*registered // registration order, for deterministic dispatch
+	workers int
+	history int
+	exec    engine.Executor // default executor for queries without one
+	planner *fleet.Planner  // fleet-level plan cache
+	// Registered queries are interned into shape equivalence classes:
+	// classes holds them by canonical shape key, classList in creation
+	// order (the deterministic iteration drainTrips and Metrics use), and
+	// planKeys maps a class's fleet plan-cache key back to it for
+	// collision disambiguation.
 	// textMemo shortcuts twin registration: (executor, text) of every
 	// live class's members maps to the class, so registering an exact
 	// twin skips compilation entirely and shares the class's compiled
 	// query (one engine-side query per shape, not per identity).
-	shapeFactor bool
-	classes     map[string]*shapeClass
-	classList   []*shapeClass
-	planKeys    map[string]*shapeClass
-	textMemo    map[string]*shapeClass
-	// ad is the online estimator (nil under WithCumulativeEstimator).
-	// After phase 3 of every tick, realized per-stream acquisition costs
-	// are fed back into it; its detector events invalidate the fleet plan
-	// cache here and per-query plan caches in the engine.
+	classes   map[string]*shapeClass
+	classList []*shapeClass
+	planKeys  map[string]*shapeClass
+	textMemo  map[string]*shapeClass
+	// ad is the online estimator. After phase 3 of every tick, realized
+	// per-stream acquisition costs are fed back into it; its detector
+	// events invalidate the fleet plan cache here and per-query plan
+	// caches in the engine.
 	ad *adapt.Windowed
 	// prevSpent/prevTransferred/prevRelaySaved snapshot per-stream cache
 	// accounting at the end of the previous tick, to derive per-tick cost
@@ -108,10 +103,9 @@ type Service struct {
 	// through this atomic instead of racing s.tick.
 	tickNow atomic.Int64
 	// hists records the per-phase tick-latency histograms (allocation-free
-	// atomic counters; nil under WithTickHistograms(false), the A/B
-	// baseline for overhead measurement). tracer records sampled tick
-	// traces (disabled by default; see WithTraceSampling) and journal the
-	// rare structural events (drift trips, forced replans, evictions).
+	// atomic counters). tracer records sampled tick traces (disabled by
+	// default; see WithTraceSampling) and journal the rare structural
+	// events (drift trips, forced replans, evictions).
 	// Under the sharded runtime all three are shared across the in-process
 	// workers via options.
 	hists   *obs.TickHists
@@ -147,9 +141,8 @@ type Service struct {
 // one due member — the leader, the first due subscriber in registration
 // order — and fans the verdict out to the rest (see Tick).
 type shapeClass struct {
-	// key is the interning key (executor name + canonical shape string;
-	// just the query id when shape factoring is off), hash the compact
-	// shape id for display.
+	// key is the interning key (executor name + canonical shape string),
+	// hash the compact shape id for display.
 	key  string
 	hash uint64
 	// planKey is the class's stable id in the fleet plan cache. It
@@ -236,8 +229,7 @@ type registered struct {
 	hist    []Execution
 	histPos int
 	m       QueryMetrics
-	// cls is the shape equivalence class the query is interned into (a
-	// singleton when shape factoring is off).
+	// cls is the shape equivalence class the query is interned into.
 	cls *shapeClass
 	// tree is the per-query scratch tree the fleet planner re-annotates
 	// in place every tick (see engine.Query.TreeInto).
@@ -248,30 +240,24 @@ type registered struct {
 type Option func(*config)
 
 type config struct {
-	workers     int
-	history     int
-	engOpts     []engine.Option
-	exec        engine.Executor
-	batch       bool
-	fleetPlan   bool
-	shapeFactor bool
-	stripes     int
-	cumulative  bool
-	adaptCfg    adapt.Config
-	traceCap    int
-	ledger      *acquisition.Ledger
-	relay       *acquisition.ItemRelay
+	workers  int
+	history  int
+	engOpts  []engine.Option
+	exec     engine.Executor
+	adaptCfg adapt.Config
+	traceCap int
+	ledger   *acquisition.Ledger
+	relay    *acquisition.ItemRelay
 	// repartEvery, balance and relayFrac configure the sharded runtime
 	// (see NewSharded); a plain Service ignores them.
 	repartEvery int64
 	balance     float64
 	relayFrac   float64
 	shardIdx    int
-	// Observability wiring (see internal/obs): histsOff disables the
-	// tick-latency histograms, traceSample enables tick tracing at the
-	// given period, and journal/tracer install shared instances (the
-	// sharded runtime shares one of each across its in-process workers).
-	histsOff    bool
+	// Observability wiring (see internal/obs): traceSample enables tick
+	// tracing at the given period, and journal/tracer install shared
+	// instances (the sharded runtime shares one of each across its
+	// in-process workers).
 	traceSample int
 	journal     *obs.Journal
 	tracer      *obs.Tracer
@@ -295,57 +281,58 @@ func WithEngineOptions(opts ...engine.Option) Option {
 // it with WithQueryExecutor.
 func WithExecutor(x engine.Executor) Option { return func(c *config) { c.exec = x } }
 
-// WithBatchedAcquisition toggles the tick-level acquisition batcher
-// (default on): before executing due queries, their plans' first-leaf
-// stream windows are coalesced and each shared stream is pre-acquired
-// once, so concurrent workers do not race to pull the same items. First
-// leaves are evaluated unconditionally, so pre-pulling them never wastes
-// cost — it only moves it from the queries to the batcher (see
-// Metrics.BatchedCost).
-func WithBatchedAcquisition(on bool) Option { return func(c *config) { c.batch = on } }
+// WithBatchedAcquisition accepts only true: batched first-leaf
+// acquisition is unconditional.
+//
+// Deprecated: false selected the removed unbatched acquisition path and
+// panics in New and NewSharded. Drop the option.
+func WithBatchedAcquisition(on bool) Option {
+	return removedPath(!on, "WithBatchedAcquisition(false) selects the removed unbatched acquisition path")
+}
 
-// WithFleetPlanning toggles cross-query joint planning (default on):
-// every tick, the due queries running the linear executor are planned as
-// one joint workload by internal/fleet — a leaf's marginal cost is
-// discounted by the probability that some sibling query's schedule pulls
-// the same items — and the joint plan's acquisition manifest drives the
-// tick batcher. Queries with adaptive executors keep their decision-tree
-// path. Off, every query plans independently (the pre-fleet behaviour).
-func WithFleetPlanning(on bool) Option { return func(c *config) { c.fleetPlan = on } }
+// WithFleetPlanning accepts only true: cross-query joint planning is
+// unconditional.
+//
+// Deprecated: false selected the removed independent per-query planning
+// path and panics in New and NewSharded. engine.Workload is that
+// baseline. Drop the option.
+func WithFleetPlanning(on bool) Option {
+	return removedPath(!on, "WithFleetPlanning(false) selects the removed independent per-query planning path")
+}
 
-// WithShapeFactoring toggles cross-tenant shape factoring (default on):
-// queries whose compiled trees are identical up to AND/OR commutativity
-// (same streams, windows, probabilities and predicate labels — see
-// engine.Query.ShapeKey) and whose executors match are interned into one
-// shape equivalence class. Each tick plans and evaluates every distinct
-// due shape exactly once — the first due subscriber in registration
-// order leads — and fans the verdict out to all subscriber identities,
-// so per-tick planning and execution cost is O(distinct shapes) instead
-// of O(fleet). Twins observe the leader's verdict, evaluated count and
-// modelled cost; their realized Cost is 0 (the evaluation was shared)
-// and their executions are flagged Shared. Estimator evidence is
-// recorded once per shape evaluation — shared across subscribers through
-// the common predicate trace keys — rather than once per twin, so
-// duplicated tenants no longer overweight the same physical observation.
-// Off, every query is planned and executed independently: the exact
-// pre-shape-factoring behaviour, byte-identical executions included.
-func WithShapeFactoring(on bool) Option { return func(c *config) { c.shapeFactor = on } }
+// WithShapeFactoring accepts only true: cross-tenant shape factoring is
+// unconditional.
+//
+// Deprecated: false selected the removed unfactored one-class-per-query
+// path and panics in New and NewSharded. engine.Workload is that
+// baseline. Drop the option.
+func WithShapeFactoring(on bool) Option {
+	return removedPath(!on, "WithShapeFactoring(false) selects the removed unfactored one-class-per-query path")
+}
 
-// WithCacheStripes sets the acquisition cache's lock stripe count
-// (default 0: one stripe per stream, so pulls on different streams never
-// contend). 1 serializes all streams behind a single lock — the
-// pre-sharding behaviour, kept as a benchmark baseline.
-func WithCacheStripes(n int) Option { return func(c *config) { c.stripes = n } }
+// WithCacheStripes accepts only 0: the acquisition cache always takes
+// one lock stripe per stream.
+//
+// Deprecated: other counts selected the removed fixed-stripe cache
+// (1 was the single global lock) and panic in New and NewSharded. Drop
+// the option.
+func WithCacheStripes(n int) Option {
+	return removedPath(n != 0, fmt.Sprintf("WithCacheStripes(%d) selects the removed fixed-stripe (global-lock) cache", n))
+}
 
-// WithCumulativeEstimator reverts probability estimation to the
-// never-forgetting cumulative trace counter — the pre-adaptation
-// behaviour, kept as the baseline: no sliding windows, no learned
-// per-item costs, no change detectors, no forced replans.
-func WithCumulativeEstimator() Option { return func(c *config) { c.cumulative = true } }
+// removedPath is the deprecated shims' option: applying it with a value
+// that selected a removed code path panics, so the caller learns at
+// construction instead of silently getting the production path.
+func removedPath(removed bool, what string) Option {
+	return func(*config) {
+		if removed {
+			panic("service: " + what)
+		}
+	}
+}
 
-// WithAdaptConfig tunes the default windowed online estimator (window
-// size, EWMA steps, Page-Hinkley thresholds; see adapt.Config). Ignored
-// under WithCumulativeEstimator.
+// WithAdaptConfig tunes the windowed online estimator (window size, EWMA
+// steps, Page-Hinkley thresholds; see adapt.Config).
 func WithAdaptConfig(cfg adapt.Config) Option { return func(c *config) { c.adaptCfg = cfg } }
 
 // WithSharedLedger attaches a fleet-wide acquisition ledger to the
@@ -410,12 +397,6 @@ func WithShardBalance(f float64) Option {
 // tenant registration otherwise grows the store forever.
 func WithTraceCap(n int) Option { return func(c *config) { c.traceCap = n } }
 
-// WithTickHistograms toggles the per-phase tick-latency histograms
-// (default on). The histograms are allocation-free atomic counters, so
-// the only reason to turn them off is A/B overhead measurement (see the
-// BENCH_obs writer).
-func WithTickHistograms(on bool) Option { return func(c *config) { c.histsOff = !on } }
-
 // WithTraceSampling enables the span-style tick tracer at construction:
 // every n-th tick records one structured trace (phase durations, due
 // classes, plan cache hits vs replans, expected vs realized cost per
@@ -436,12 +417,12 @@ func WithJournal(j *obs.Journal) Option { return func(c *config) { c.journal = j
 func WithTracer(t *obs.Tracer) Option { return func(c *config) { c.tracer = t } }
 
 // New creates a service over the registry with an empty shared cache.
-// The windowed online estimator (see internal/adapt) is the default:
-// leaf probabilities and per-item costs are learned from a sliding
-// window of realized outcomes, and change detectors actively invalidate
-// affected plans. WithCumulativeEstimator restores the old baseline.
+// Probabilities come from the windowed online estimator (see
+// internal/adapt): leaf probabilities and per-item costs are learned
+// from a sliding window of realized outcomes, and change detectors
+// actively invalidate affected plans.
 func New(reg *stream.Registry, opts ...Option) *Service {
-	cfg := config{workers: runtime.GOMAXPROCS(0), history: 64, batch: true, fleetPlan: true, shapeFactor: true, traceCap: -1}
+	cfg := config{workers: runtime.GOMAXPROCS(0), history: 64, traceCap: -1}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -454,13 +435,9 @@ func New(reg *stream.Registry, opts ...Option) *Service {
 	if cfg.exec == nil {
 		cfg.exec = engine.LinearExecutor{}
 	}
-	var ad *adapt.Windowed
-	engOpts := cfg.engOpts
-	if !cfg.cumulative {
-		ad = adapt.NewWindowed(cfg.adaptCfg)
-		// Prepend so explicit WithEngineOptions overrides still win.
-		engOpts = append([]engine.Option{engine.WithEstimator(ad), engine.WithCostSource(ad)}, engOpts...)
-	}
+	ad := adapt.NewWindowed(cfg.adaptCfg)
+	// Prepend so explicit WithEngineOptions overrides still win.
+	engOpts := append([]engine.Option{engine.WithEstimator(ad), engine.WithCostSource(ad)}, cfg.engOpts...)
 	eng := engine.New(reg, engOpts...)
 	if cfg.traceCap < 0 {
 		cfg.traceCap = 8192
@@ -469,17 +446,14 @@ func New(reg *stream.Registry, opts ...Option) *Service {
 	s := &Service{
 		reg:             reg,
 		eng:             eng,
-		cache:           acquisition.NewSharedStriped(reg, cfg.stripes),
+		cache:           acquisition.NewShared(reg),
 		queries:         map[string]*registered{},
-		shapeFactor:     cfg.shapeFactor,
 		classes:         map[string]*shapeClass{},
 		planKeys:        map[string]*shapeClass{},
 		textMemo:        map[string]*shapeClass{},
 		workers:         cfg.workers,
 		history:         cfg.history,
 		exec:            cfg.exec,
-		batch:           cfg.batch,
-		fleetPlan:       cfg.fleetPlan,
 		ad:              ad,
 		prevSpent:       make([]float64, reg.Len()),
 		prevTransferred: make([]int64, reg.Len()),
@@ -487,11 +461,9 @@ func New(reg *stream.Registry, opts ...Option) *Service {
 		planner:         &fleet.Planner{Eps: eng.ReplanThreshold()},
 		dupAvoidedK:     make([]int64, reg.Len()),
 		shardIdx:        cfg.shardIdx,
+		hists:           obs.NewTickHists(),
 		journal:         cfg.journal,
 		tracer:          cfg.tracer,
-	}
-	if !cfg.histsOff {
-		s.hists = obs.NewTickHists()
 	}
 	if s.journal == nil {
 		s.journal = obs.NewJournal(0)
@@ -525,30 +497,28 @@ func New(reg *stream.Registry, opts ...Option) *Service {
 	if cfg.relay != nil {
 		s.cache.SetRelay(cfg.relay)
 	}
-	if ad != nil {
-		// The engine already evicts affected per-query plans on detector
-		// trips; the joint plans layered above them must react too. Trips
-		// fire from phase-3 worker goroutines while the service lock is
-		// held, so the event is only buffered here; the next tick drains
-		// the buffer and marks exactly the affected queries stale, which
-		// patches (or, for broad shifts, replans) the cached joint plan
-		// instead of dropping every entry (see drainTrips).
-		ad.Subscribe(func(ev adapt.Event) {
-			s.tripMu.Lock()
-			s.pendingTrips = append(s.pendingTrips, ev)
-			s.tripMu.Unlock()
-			jev := obs.Event{Type: obs.EventDriftTrip, Tick: s.tickNow.Load(), Shard: s.shardIdx,
-				Pred: ev.Pred, Before: ev.Before, After: ev.After, Detail: ev.Kind}
-			if ev.Kind == adapt.KindStreamCost {
-				jev.Stream = ev.Stream
-			}
-			s.journal.Append(jev)
-		})
-		ad.SetEvictionHook(func(n int) {
-			s.journal.Append(obs.Event{Type: obs.EventEstimatorEviction, Tick: s.tickNow.Load(),
-				Shard: s.shardIdx, Count: n, Detail: "windowed predicate states evicted"})
-		})
-	}
+	// The engine already evicts affected per-query plans on detector
+	// trips; the joint plans layered above them must react too. Trips
+	// fire from phase-3 worker goroutines while the service lock is held,
+	// so the event is only buffered here; the next tick drains the buffer
+	// and marks exactly the affected queries stale, which patches (or,
+	// for broad shifts, replans) the cached joint plan instead of
+	// dropping every entry (see drainTrips).
+	ad.Subscribe(func(ev adapt.Event) {
+		s.tripMu.Lock()
+		s.pendingTrips = append(s.pendingTrips, ev)
+		s.tripMu.Unlock()
+		jev := obs.Event{Type: obs.EventDriftTrip, Tick: s.tickNow.Load(), Shard: s.shardIdx,
+			Pred: ev.Pred, Before: ev.Before, After: ev.After, Detail: ev.Kind}
+		if ev.Kind == adapt.KindStreamCost {
+			jev.Stream = ev.Stream
+		}
+		s.journal.Append(jev)
+	})
+	ad.SetEvictionHook(func(n int) {
+		s.journal.Append(obs.Event{Type: obs.EventEstimatorEviction, Tick: s.tickNow.Load(),
+			Shard: s.shardIdx, Count: n, Detail: "windowed predicate states evicted"})
+	})
 	return s
 }
 
@@ -596,32 +566,21 @@ func (s *Service) ProfileTree(id string) (*query.Tree, []string, bool) {
 
 // Trips totals the online estimator's detector trips (predicate and
 // stream-cost alike) — the drift signal a sharded coordinator polls to
-// decide when a repartition is worthwhile. 0 under the cumulative
-// estimator.
+// decide when a repartition is worthwhile.
 func (s *Service) Trips() int64 {
-	if s.ad == nil {
-		return 0
-	}
 	p, c := s.ad.Trips()
 	return p + c
 }
 
 // ExportEvidence snapshots the estimator evidence of the given predicate
 // trace keys, for migrating a query's learned state to another worker.
-// Nil under the cumulative estimator.
 func (s *Service) ExportEvidence(keys []string) []adapt.PredicateSnapshot {
-	if s.ad == nil {
-		return nil
-	}
 	return s.ad.ExportPredicates(keys)
 }
 
 // ImportEvidence seeds estimator evidence exported from another worker;
 // predicates this estimator already tracks keep their own evidence.
 func (s *Service) ImportEvidence(snaps []adapt.PredicateSnapshot) {
-	if s.ad == nil || len(snaps) == 0 {
-		return
-	}
 	s.ad.ImportPredicates(snaps)
 }
 
@@ -656,8 +615,8 @@ func (s *Service) SetStreamCostScale(scale []float64) {
 	s.planner.Invalidate()
 }
 
-// Adaptive exposes the online estimator (nil under
-// WithCumulativeEstimator), e.g. for estimator-state inspection.
+// Adaptive exposes the online estimator, e.g. for estimator-state
+// inspection.
 func (s *Service) Adaptive() *adapt.Windowed { return s.ad }
 
 // Engine exposes the shared engine (e.g. for trace-store inspection).
@@ -703,16 +662,14 @@ func (s *Service) Register(id, text string, opts ...QueryOption) error {
 	for _, o := range opts {
 		o(r)
 	}
-	var ck, mk string
-	if s.shapeFactor {
-		// Exact-twin shortcut: a text already registered under the same
-		// executor interns into its class without compiling again, and
-		// shares the class's compiled query.
-		mk = s.executorFor(r).Name() + "\x00" + text
-		if c := s.textMemo[mk]; c != nil {
-			r.q = c.q
-			ck = c.key
-		}
+	// Exact-twin shortcut: a text already registered under the same
+	// executor interns into its class without compiling again, and shares
+	// the class's compiled query.
+	var ck string
+	mk := s.executorFor(r).Name() + "\x00" + text
+	if c := s.textMemo[mk]; c != nil {
+		r.q = c.q
+		ck = c.key
 	}
 	if r.q == nil {
 		q, err := s.eng.Compile(text)
@@ -732,28 +689,21 @@ func (s *Service) Register(id, text string, opts ...QueryOption) error {
 		}
 	}
 	c := s.internLocked(r, ck)
-	if s.shapeFactor {
-		if _, seen := s.textMemo[mk]; !seen {
-			s.textMemo[mk] = c
-			c.texts = append(c.texts, mk)
-		}
+	if _, seen := s.textMemo[mk]; !seen {
+		s.textMemo[mk] = c
+		c.texts = append(c.texts, mk)
 	}
 	s.queries[id] = r
 	s.order = append(s.order, r)
 	return nil
 }
 
-// classKeyFor derives the shape-class key a query interns under.
+// classKeyFor derives the shape-class key a query interns under. The
+// executor is part of the key: equal trees driven by different execution
+// strategies report different evaluated counts and strategies, so they
+// must not share executions.
 func (s *Service) classKeyFor(r *registered) string {
-	if s.shapeFactor {
-		// The executor is part of the class key: equal trees driven by
-		// different execution strategies report different evaluated counts
-		// and strategies, so they must not share executions.
-		return s.executorFor(r).Name() + "\x00" + r.q.ShapeKey()
-	}
-	// Factoring off: a singleton class per id, so the tick path below
-	// degenerates to exactly the per-query behaviour.
-	return "id\x00" + r.id
+	return s.executorFor(r).Name() + "\x00" + r.q.ShapeKey()
 }
 
 // internLocked adds the query to its shape equivalence class under the
@@ -764,19 +714,15 @@ func (s *Service) internLocked(r *registered, ck string) *shapeClass {
 	c := s.classes[ck]
 	if c == nil {
 		c = &shapeClass{key: ck, hash: q.ShapeHash(), q: q}
-		if s.shapeFactor {
-			// A stable shape-derived plan key, disambiguated on the
-			// (vanishingly rare) 64-bit hash collision between two live
-			// distinct shapes.
-			c.planKey = fmt.Sprintf("shape:%016x", c.hash)
-			for n := 1; ; n++ {
-				if other, taken := s.planKeys[c.planKey]; !taken || other.key == ck {
-					break
-				}
-				c.planKey = fmt.Sprintf("shape:%016x#%d", c.hash, n)
+		// A stable shape-derived plan key, disambiguated on the
+		// (vanishingly rare) 64-bit hash collision between two live
+		// distinct shapes.
+		c.planKey = fmt.Sprintf("shape:%016x", c.hash)
+		for n := 1; ; n++ {
+			if other, taken := s.planKeys[c.planKey]; !taken || other.key == ck {
+				break
 			}
-		} else {
-			c.planKey = r.id
+			c.planKey = fmt.Sprintf("shape:%016x#%d", c.hash, n)
 		}
 		// Precompute the trip-mapping sets once per class: which
 		// estimator-driven predicate keys and which streams the shape
@@ -943,15 +889,15 @@ type Execution struct {
 	// threshold).
 	Strategy string `json:"strategy,omitempty"`
 	// FleetPlanned reports that the schedule came from the cross-query
-	// joint planner rather than the query's own planner (see
-	// WithFleetPlanning). ExpectedCost is then the query's share of the
-	// joint expected cost, which discounts items sibling queries pull.
+	// joint planner rather than the query's own executor (every linear
+	// query is joint-planned; see Tick). ExpectedCost is then the query's
+	// share of the joint expected cost, which discounts items sibling
+	// queries pull.
 	FleetPlanned bool `json:"fleet_planned,omitempty"`
 	// Shared reports that the execution was served by fanning out a shape
-	// leader's result instead of re-evaluating the tree (see
-	// WithShapeFactoring): Value, Evaluated and ExpectedCost are the
-	// leader's, and Cost is 0 because the class paid once through the
-	// leader.
+	// leader's result instead of re-evaluating the tree (see Tick): Value,
+	// Evaluated and ExpectedCost are the leader's, and Cost is 0 because
+	// the class paid once through the leader.
 	Shared bool `json:"shared,omitempty"`
 	// Shard is the shard worker that ran the execution, stamped at
 	// creation so Results histories carry it too (always 0 — omitted —
@@ -1010,21 +956,17 @@ func (s *Service) fanOut(n int, f func(int)) {
 }
 
 // planFleet jointly plans the due shape-class leaders running the linear
-// executor (see WithFleetPlanning): their probability-annotated trees are
-// handed to the fleet planner as one workload against the shared warm
-// cache state — keyed by the classes' stable plan keys and weighted by
-// their due subscriber counts — and the resulting per-class schedules are
-// bound into the scratch plan slice executed directly in phase 3.
-// fleetSet marks the leader indices covered by the joint plan; fleetOf
-// maps them to their plan. Returns nil when fleet planning is off or does
-// not apply. All planner inputs live in the tick scratch — trees are
-// re-annotated in place and the planner deep-copies what it caches — so a
-// steady-state plan allocates nothing here. Caller holds the service
-// lock.
+// executor: their probability-annotated trees are handed to the fleet
+// planner as one workload against the shared warm cache state — keyed by
+// the classes' stable plan keys and weighted by their due subscriber
+// counts — and the resulting per-class schedules are bound into the
+// scratch plan slice executed directly in phase 3. fleetSet marks the
+// leader indices covered by the joint plan; fleetOf maps them to their
+// plan. Returns nil when no leader runs the linear executor. All planner
+// inputs live in the tick scratch — trees are re-annotated in place and
+// the planner deep-copies what it caches — so a steady-state plan
+// allocates nothing here. Caller holds the service lock.
 func (s *Service) planFleet(lead []*registered, fleetSet []bool) *fleet.Plan {
-	if !s.fleetPlan {
-		return nil
-	}
 	sc := &s.scratch
 	sc.idx = sc.idx[:0]
 	for i, r := range lead {
@@ -1127,18 +1069,18 @@ func (s *Service) planFleet(lead []*registered, fleetSet []bool) *fleet.Plan {
 // the worker pool, in three phases:
 //
 //  1. Plan: the due queries running the linear executor are planned as
-//     one joint workload by the fleet planner (see WithFleetPlanning) —
-//     cross-query sharing discounts each leaf's marginal cost — while
-//     queries with other executors build (or reuse) their own plans.
-//     Planning only reads the cache, so all plans of one tick see the
-//     same state.
+//     one joint workload by the fleet planner (internal/fleet) — a
+//     leaf's marginal cost is discounted by the probability that some
+//     sibling query's schedule pulls the same items — while queries with
+//     other executors build (or reuse) their own plans. Planning only
+//     reads the cache, so all plans of one tick see the same state.
 //  2. Batch: the joint plan's acquisition manifest, merged with the
 //     first-leaf windows of the individually planned queries, is
-//     deduplicated and each shared stream is pre-acquired once (see
-//     WithBatchedAcquisition). First leaves are never short-circuited,
-//     so every pre-pulled item would have been paid for by some query
-//     this tick anyway; batching stops concurrent workers from racing
-//     to pull the same items.
+//     deduplicated and each shared stream is pre-acquired once. First
+//     leaves are never short-circuited, so every pre-pulled item would
+//     have been paid for by some query this tick anyway; batching stops
+//     concurrent workers from racing to pull the same items (see
+//     Metrics.BatchedCost).
 //  3. Execute: the prepared plans run on the worker pool. The cache
 //     stripes pulls per stream, so workers on different streams proceed
 //     in parallel and the first query to need an item pays for it while
@@ -1170,10 +1112,8 @@ func (s *Service) Tick() TickResult {
 	}
 
 	// Leader election: the first due subscriber of each shape class leads,
-	// and later due twins point at it through leadOf. With shape factoring
-	// off every class is a singleton, so lead == due and every query leads
-	// itself — the exact pre-shape tick path. classDue counts the due
-	// subscribers behind each leader: the joint planner's weights.
+	// and later due twins point at it through leadOf. classDue counts the
+	// due subscribers behind each leader: the joint planner's weights.
 	sc.lead = sc.lead[:0]
 	sc.leadDueIdx = sc.leadDueIdx[:0]
 	sc.classDue = sc.classDue[:0]
@@ -1230,70 +1170,68 @@ func (s *Service) Tick() TickResult {
 	acquireStart := time.Now()
 
 	// Phase 2: batched acquisition of the deduplicated opening windows.
-	if s.batch {
-		n := s.reg.Len()
-		if cap(sc.winds) < n {
-			sc.winds = make([][]int, n)
-			sc.batchNeed = make([]int, n)
-			sc.batchTouched = make([]bool, n)
-		}
-		winds, need, touched := sc.winds[:n], sc.batchNeed[:n], sc.batchTouched[:n]
-		for k := range winds {
-			winds[k] = winds[k][:0]
-			need[k] = 0
-			touched[k] = false
-		}
-		if fplan != nil {
-			for _, pf := range fplan.Manifest {
-				winds[pf.Stream] = append(winds[pf.Stream], pf.Windows...)
-				touched[pf.Stream] = true
-				if pf.Items > need[pf.Stream] {
-					need[pf.Stream] = pf.Items
-				}
+	n := s.reg.Len()
+	if cap(sc.winds) < n {
+		sc.winds = make([][]int, n)
+		sc.batchNeed = make([]int, n)
+		sc.batchTouched = make([]bool, n)
+	}
+	winds, need, touched := sc.winds[:n], sc.batchNeed[:n], sc.batchTouched[:n]
+	for k := range winds {
+		winds[k] = winds[k][:0]
+		need[k] = 0
+		touched[k] = false
+	}
+	if fplan != nil {
+		for _, pf := range fplan.Manifest {
+			winds[pf.Stream] = append(winds[pf.Stream], pf.Windows...)
+			touched[pf.Stream] = true
+			if pf.Items > need[pf.Stream] {
+				need[pf.Stream] = pf.Items
 			}
 		}
-		for i, p := range preps {
-			if p == nil || fleetSet[i] {
-				continue // failed, or already in the joint manifest
-			}
-			k, d, ok := p.FirstAcquisition()
-			if !ok {
+	}
+	for i, p := range preps {
+		if p == nil || fleetSet[i] {
+			continue // failed, or already in the joint manifest
+		}
+		k, d, ok := p.FirstAcquisition()
+		if !ok {
+			continue
+		}
+		winds[k] = append(winds[k], d)
+		touched[k] = true
+		if d > need[k] {
+			need[k] = d
+		}
+	}
+	// Count duplicates against items that actually have to be
+	// transferred: a cached item costs nothing to re-request, but a
+	// missing item wanted by n queries would be raced for by n workers
+	// and is now pulled exactly once.
+	sc.batchSnap = s.cache.SnapshotInto(need, sc.batchSnap)
+	cached := sc.batchSnap
+	for k := range winds {
+		if !touched[k] {
+			continue
+		}
+		ds := winds[k]
+		for t := 1; t <= need[k]; t++ {
+			if cached[k][t-1] {
 				continue
 			}
-			winds[k] = append(winds[k], d)
-			touched[k] = true
-			if d > need[k] {
-				need[k] = d
-			}
-		}
-		// Count duplicates against items that actually have to be
-		// transferred: a cached item costs nothing to re-request, but a
-		// missing item wanted by n queries would be raced for by n workers
-		// and is now pulled exactly once.
-		sc.batchSnap = s.cache.SnapshotInto(need, sc.batchSnap)
-		cached := sc.batchSnap
-		for k := range winds {
-			if !touched[k] {
-				continue
-			}
-			ds := winds[k]
-			for t := 1; t <= need[k]; t++ {
-				if cached[k][t-1] {
-					continue
+			covering := 0
+			for _, d := range ds {
+				if d >= t {
+					covering++
 				}
-				covering := 0
-				for _, d := range ds {
-					if d >= t {
-						covering++
-					}
-				}
-				s.dupAvoided += int64(covering - 1)
-				s.dupAvoidedK[k] += int64(covering - 1)
 			}
-			items, cost := s.cache.Prefetch(k, need[k])
-			s.batchItems += int64(items)
-			s.batchCost += cost
+			s.dupAvoided += int64(covering - 1)
+			s.dupAvoidedK[k] += int64(covering - 1)
 		}
+		items, cost := s.cache.Prefetch(k, need[k])
+		s.batchItems += int64(items)
+		s.batchCost += cost
 	}
 
 	acquireDur := time.Since(acquireStart)
@@ -1451,9 +1389,6 @@ func (s *Service) recordTrace(start time.Time, plan, acquire, exec, fan, total t
 // per-stream cost detectors see price-regime shifts. Caller holds the
 // service lock.
 func (s *Service) observeCosts() {
-	if s.ad == nil {
-		return
-	}
 	for k := 0; k < s.reg.Len(); k++ {
 		ss := s.cache.StreamStats(k)
 		items := ss.Transferred - s.prevTransferred[k]
@@ -1574,7 +1509,7 @@ type Metrics struct {
 	// DuplicatePullsAvoided counts, over items that actually had to be
 	// transferred, the redundant first-leaf requests beyond the first —
 	// the pulls concurrent workers would have raced to issue for the same
-	// missing item (see WithBatchedAcquisition).
+	// missing item (see Tick).
 	BatchedCost           float64 `json:"batched_cost"`
 	BatchedItems          int64   `json:"batched_items"`
 	DuplicatePullsAvoided int64   `json:"duplicate_pulls_avoided"`
@@ -1587,7 +1522,7 @@ type Metrics struct {
 	// FleetPlans counts ticks planned jointly across queries and
 	// FleetPlanReuses the subset served from the fleet plan cache;
 	// FleetPlannedExecutions counts executions that ran a joint
-	// schedule (see WithFleetPlanning).
+	// schedule (see Tick).
 	FleetPlans             int64 `json:"fleet_plans"`
 	FleetPlanReuses        int64 `json:"fleet_plan_reuses"`
 	FleetPlannedExecutions int64 `json:"fleet_planned_executions"`
@@ -1605,9 +1540,9 @@ type Metrics struct {
 	FleetExpectedCost       float64 `json:"fleet_expected_cost"`
 	IndependentExpectedCost float64 `json:"independent_expected_cost"`
 	FleetModelledSaving     float64 `json:"fleet_modelled_saving"`
-	// ShapeFactoring reports whether cross-tenant shape factoring is on
-	// (see WithShapeFactoring). DistinctShapes counts the live shape
-	// equivalence classes (equal to Queries when factoring is off or no
+	// ShapeFactoring is always true: cross-tenant shape factoring is
+	// unconditional (the field stays for existing readers). DistinctShapes
+	// counts the live shape equivalence classes (equal to Queries when no
 	// two queries share a shape) and ShapeSubscribers the registered
 	// identities interned into them; SharedExecutions counts executions
 	// served by fanning a leader's result out to a twin instead of
@@ -1616,10 +1551,9 @@ type Metrics struct {
 	DistinctShapes   int   `json:"distinct_shapes"`
 	ShapeSubscribers int   `json:"shape_subscribers"`
 	SharedExecutions int64 `json:"shared_executions"`
-	// Estimator names the probability-estimation mode: "windowed" (the
-	// online adaptive default; see internal/adapt) or "cumulative" (the
-	// never-forgetting baseline). EstimatorWindow is the sliding-window
-	// size (0 for cumulative).
+	// Estimator is always "windowed", the online adaptive estimator (see
+	// internal/adapt), and EstimatorWindow its sliding-window size; both
+	// stay for existing readers.
 	Estimator       string `json:"estimator"`
 	EstimatorWindow int    `json:"estimator_window,omitempty"`
 	// PredicateDetectorTrips / CostDetectorTrips count Page-Hinkley
@@ -1655,7 +1589,7 @@ type Metrics struct {
 	// histogram snapshot with p50/p90/p99 estimates; see internal/obs).
 	// On a plain service it is the service's own latency; the sharded
 	// runtime merges every worker's histograms bucket-by-bucket, so the
-	// quantiles are fleet-wide. Omitted under WithTickHistograms(false).
+	// quantiles are fleet-wide.
 	TickLatency obs.LatencySnapshot `json:"tick_latency,omitempty"`
 	// PerStream breaks acquisition traffic down by stream, by registry
 	// index (see StreamMetrics).
@@ -1784,8 +1718,8 @@ type StreamMetrics struct {
 	// coalesced duplicate pulls (see Metrics.DuplicatePullsAvoided).
 	DuplicatePullsAvoided int64 `json:"duplicate_pulls_avoided"`
 	// LearnedCostPerItem is the online estimator's per-item cost EWMA for
-	// the stream (0 until an acquisition has been observed, or under the
-	// cumulative estimator) — the C planners actually price with.
+	// the stream (0 until an acquisition has been observed) — the C
+	// planners actually price with.
 	LearnedCostPerItem float64 `json:"learned_cost_per_item,omitempty"`
 	// CostDetectorTrips counts price-regime shifts detected on the
 	// stream.
@@ -1807,8 +1741,7 @@ func (s *Service) Metrics() Metrics {
 		Queries:    len(s.queries),
 		Executions: s.executions,
 		// Batched acquisitions are paid by the fleet on the queries'
-		// behalf: include them so PaidCost totals are comparable whether
-		// batching is on or off.
+		// behalf: include them so PaidCost is everything the cache spent.
 		PaidCost:                s.paidCost + s.batchCost,
 		ExpectedCost:            s.expCost,
 		AdaptiveExecutions:      s.adaptiveExecs,
@@ -1827,10 +1760,17 @@ func (s *Service) Metrics() Metrics {
 		CacheRequested:          cs.Requested,
 		CacheTransferred:        cs.Transferred,
 		CacheHitRate:            cs.HitRate(),
-		ShapeFactoring:          s.shapeFactor,
+		ShapeFactoring:          true,
 		DistinctShapes:          len(s.classList),
 		SharedExecutions:        s.sharedExecs,
+		Estimator:               s.ad.Name(),
+		EstimatorWindow:         s.ad.Window(),
+		AvgCIWidth:              s.ad.AvgCIWidth(),
+		ReplansForced:           s.eng.ReplansForced() + s.fleetInvalidated.Load(),
+		TrackedPredicates:       s.eng.Traces().Len(),
+		TraceEvictions:          s.eng.Traces().Evictions(),
 	}
+	m.PredicateDetectorTrips, m.CostDetectorTrips = s.ad.Trips()
 	for _, c := range s.classList {
 		m.ShapeSubscribers += len(c.members)
 	}
@@ -1843,19 +1783,9 @@ func (s *Service) Metrics() Metrics {
 	if m.IndependentExpectedCost > 0 {
 		m.FleetModelledSaving = 1 - m.FleetExpectedCost/m.IndependentExpectedCost
 	}
-	m.Estimator = "cumulative"
-	m.ReplansForced = s.eng.ReplansForced() + s.fleetInvalidated.Load()
-	m.TrackedPredicates = s.eng.Traces().Len()
-	m.TraceEvictions = s.eng.Traces().Evictions()
 	learned := map[int]adapt.StreamCostState{}
-	if s.ad != nil {
-		m.Estimator = s.ad.Name()
-		m.EstimatorWindow = s.ad.Window()
-		m.PredicateDetectorTrips, m.CostDetectorTrips = s.ad.Trips()
-		m.AvgCIWidth = s.ad.AvgCIWidth()
-		for _, cs := range s.ad.StreamCosts() {
-			learned[cs.Stream] = cs
-		}
+	for _, cs := range s.ad.StreamCosts() {
+		learned[cs.Stream] = cs
 	}
 	for _, ss := range s.cache.PerStream() {
 		m.PerStream = append(m.PerStream, StreamMetrics{

@@ -2,6 +2,9 @@ package service
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"paotr/internal/engine"
@@ -14,6 +17,19 @@ import (
 // seed.
 func testRegistry(seed uint64) *stream.Registry {
 	return stream.Wearables(seed)
+}
+
+// newWorkload compiles texts into engine.Workload over reg: the paper's
+// per-query baseline the service is measured against — each query
+// planned and executed on its own, in order, over one shared cache, with
+// the engine's cumulative trace estimates.
+func newWorkload(tb testing.TB, reg *stream.Registry, texts ...string) *engine.Workload {
+	tb.Helper()
+	w, err := engine.NewWorkload(engine.New(reg), texts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w
 }
 
 // fleetQueries is a workload of 8 queries sharing the five streams with
@@ -259,4 +275,62 @@ func BenchmarkServiceTicks(b *testing.B) {
 	b.Run("replan-every-tick", func(b *testing.B) {
 		bench(b, WithEngineOptions(engine.WithReplanThreshold(-1)))
 	})
+}
+
+// TestDeprecatedShimsRejectRemovedPaths: each deprecated option panics in
+// New and in NewSharded when asked for the path it used to select, and
+// the panic names that path; given its production value it changes
+// nothing.
+func TestDeprecatedShimsRejectRemovedPaths(t *testing.T) {
+	builders := []struct {
+		name  string
+		build func(...Option)
+	}{
+		{"New", func(o ...Option) { New(testRegistry(1), o...) }},
+		{"NewSharded", func(o ...Option) { NewSharded(testRegistry(1), 2, o...) }},
+	}
+	for _, c := range []struct {
+		opt  Option
+		path string
+	}{
+		{WithBatchedAcquisition(false), "unbatched acquisition"},
+		{WithFleetPlanning(false), "independent per-query planning"},
+		{WithShapeFactoring(false), "unfactored one-class-per-query"},
+		{WithCacheStripes(1), "fixed-stripe (global-lock) cache"},
+	} {
+		for _, b := range builders {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, c.path) {
+						t.Errorf("%s: panic %q, want one naming the removed %s path", b.name, msg, c.path)
+					}
+				}()
+				b.build(c.opt)
+			}()
+		}
+	}
+
+	run := func(opts ...Option) Metrics {
+		svc := New(testRegistry(3), append([]Option{WithWorkers(1)}, opts...)...)
+		for i, q := range fleetQueries() {
+			if err := svc.Register(fmt.Sprintf("q%d", i), q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		svc.Run(20)
+		m := svc.Metrics()
+		m.PlanNanos, m.TickLatency = 0, nil // wall-clock
+		return m
+	}
+	want := run()
+	got := run(WithBatchedAcquisition(true), WithFleetPlanning(true), WithShapeFactoring(true), WithCacheStripes(0))
+	// The estimator averages CI widths in map order: equal to rounding.
+	if math.Abs(got.AvgCIWidth-want.AvgCIWidth) > 1e-12 {
+		t.Errorf("AvgCIWidth %v, want %v", got.AvgCIWidth, want.AvgCIWidth)
+	}
+	got.AvgCIWidth = want.AvgCIWidth
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("production shim values changed the metrics:\n got %+v\nwant %+v", got, want)
+	}
 }

@@ -3,18 +3,18 @@ package service
 import (
 	"fmt"
 	"math/rand/v2"
-	"reflect"
 	"sync"
 	"testing"
 
 	"paotr/internal/corpus"
+	"paotr/internal/engine"
 	"paotr/internal/stream"
 )
 
-// cseService builds a service over a CSE fleet's stream space and
-// registers every tenant. Stream content is seeded per stream index, so
-// two services built from the same config observe identical items.
-func cseService(tb testing.TB, cfg corpus.CSEConfig, opts ...Option) *Service {
+// cseRegistry builds a CSE fleet's stream space. Stream content is
+// seeded per stream index, so two registries built from the same config
+// serve identical items.
+func cseRegistry(tb testing.TB, cfg corpus.CSEConfig) *stream.Registry {
 	tb.Helper()
 	reg := stream.NewRegistry()
 	for i, name := range cfg.StreamNames() {
@@ -22,7 +22,14 @@ func cseService(tb testing.TB, cfg corpus.CSEConfig, opts ...Option) *Service {
 			tb.Fatal(err)
 		}
 	}
-	svc := New(reg, opts...)
+	return reg
+}
+
+// cseService builds a service over a CSE fleet's stream space and
+// registers every tenant.
+func cseService(tb testing.TB, cfg corpus.CSEConfig, opts ...Option) *Service {
+	tb.Helper()
+	svc := New(cseRegistry(tb, cfg), opts...)
 	for _, q := range corpus.CSEFleet(cfg) {
 		if err := svc.Register(q.ID, q.Text); err != nil {
 			tb.Fatal(err)
@@ -31,66 +38,64 @@ func cseService(tb testing.TB, cfg corpus.CSEConfig, opts ...Option) *Service {
 	return svc
 }
 
+// cseWorkload compiles a CSE fleet, in registration order, into the
+// per-query baseline (see newWorkload).
+func cseWorkload(tb testing.TB, cfg corpus.CSEConfig) *engine.Workload {
+	tb.Helper()
+	var texts []string
+	for _, q := range corpus.CSEFleet(cfg) {
+		texts = append(texts, q.Text)
+	}
+	return newWorkload(tb, cseRegistry(tb, cfg), texts...)
+}
+
 // Property: on a fleet where every query's shape is unique, shape
-// factoring is a pure no-op — plans, costs and executions are
-// byte-identical to the unfactored service, tick for tick.
+// factoring is a pure no-op. Every tenant leads its own class, no
+// execution is shared, and every verdict is byte-identical to the
+// per-query baseline's, tick for tick.
 func TestShapeFactoringAllUniqueByteIdentical(t *testing.T) {
 	cfg := corpus.CSEConfig{Tenants: 24, Shapes: 24, Streams: 8, Seed: 41}
-	run := func(factor bool) ([]TickResult, Metrics) {
-		svc := cseService(t, cfg, WithWorkers(1), WithShapeFactoring(factor))
-		return svc.Run(60), svc.Metrics()
+	const ticks = 60
+	fleet := corpus.CSEFleet(cfg)
+	svc := cseService(t, cfg, WithWorkers(1))
+	base, err := cseWorkload(t, cfg).Run(ticks)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ft, fm := run(true)
-	ut, um := run(false)
-	if !reflect.DeepEqual(ft, ut) {
-		for i := range ft {
-			if !reflect.DeepEqual(ft[i], ut[i]) {
-				t.Fatalf("tick %d diverged:\nfactored   %+v\nunfactored %+v", i+1, ft[i], ut[i])
+	for ti, tr := range svc.Run(ticks) {
+		if len(tr.Executions) != cfg.Tenants {
+			t.Fatalf("tick %d: %d executions, want %d", tr.Tick, len(tr.Executions), cfg.Tenants)
+		}
+		for i, e := range tr.Executions {
+			if e.ID != fleet[i].ID || e.Err != "" || e.Value != base[ti].Results[i].Value {
+				t.Fatalf("tick %d tenant %s: verdict (%v, %q), baseline %v",
+					tr.Tick, fleet[i].ID, e.Value, e.Err, base[ti].Results[i].Value)
+			}
+			if e.Shared {
+				t.Fatalf("tick %d: tenant %s of a unique shape flagged Shared", tr.Tick, e.ID)
 			}
 		}
-		t.Fatal("tick results diverged")
 	}
-	if fm.SharedExecutions != 0 {
-		t.Errorf("all-unique fleet shared %d executions, want 0", fm.SharedExecutions)
+	m := svc.Metrics()
+	if m.SharedExecutions != 0 {
+		t.Errorf("all-unique fleet shared %d executions, want 0", m.SharedExecutions)
 	}
-	if fm.DistinctShapes != cfg.Tenants {
-		t.Errorf("DistinctShapes = %d, want %d", fm.DistinctShapes, cfg.Tenants)
+	if m.DistinctShapes != cfg.Tenants || m.ShapeSubscribers != cfg.Tenants {
+		t.Errorf("census %d shapes / %d subscribers, want %d / %d",
+			m.DistinctShapes, m.ShapeSubscribers, cfg.Tenants, cfg.Tenants)
 	}
-	type cmp struct {
-		name string
-		f, u any
-	}
-	for _, c := range []cmp{
-		{"Executions", fm.Executions, um.Executions},
-		{"PaidCost", fm.PaidCost, um.PaidCost},
-		{"ExpectedCost", fm.ExpectedCost, um.ExpectedCost},
-		{"PredicatesEvaluated", fm.PredicatesEvaluated, um.PredicatesEvaluated},
-		{"PlanCacheHits", fm.PlanCacheHits, um.PlanCacheHits},
-		{"FleetPlans", fm.FleetPlans, um.FleetPlans},
-		{"FleetPlanReuses", fm.FleetPlanReuses, um.FleetPlanReuses},
-		{"FleetExpectedCost", fm.FleetExpectedCost, um.FleetExpectedCost},
-		{"BatchedCost", fm.BatchedCost, um.BatchedCost},
-	} {
-		if c.f != c.u {
-			t.Errorf("%s: factored %v != unfactored %v", c.name, c.f, c.u)
-		}
+	if want := int64(ticks * cfg.Tenants); m.Executions != want {
+		t.Errorf("Executions = %d, want %d", m.Executions, want)
 	}
 }
 
-// normalizeShared strips the factoring-only surface from an execution so
-// it can be compared against the per-query baseline.
-func normalizeShared(e Execution) Execution {
-	e.Shared = false
-	return e
-}
-
-// Property: over random duplicated-shape fleets, every tenant observes
-// exactly the per-query baseline — verdict, realized cost, modelled cost
-// and evaluated count — when factoring shares the evaluation. One worker
-// and per-query planning keep the baseline deterministic: a baseline
-// twin executes the leader's schedule against the items the leader just
-// pulled, so its realized cost is 0 there too.
+// Property: over random duplicated-shape fleets, shape factoring
+// delivers every tenant exactly the verdict the per-query baseline
+// computes for it, tick for tick. Within a tick every twin equals its
+// class leader (the first tenant of its shape) except for its ID, pays
+// nothing and is flagged Shared.
 func TestShapeFactoringMatchesPerTenantBaseline(t *testing.T) {
+	const ticks = 12
 	for trial := 0; trial < 100; trial++ {
 		cfg := corpus.CSEConfig{
 			Tenants: 8 + trial%9,
@@ -98,31 +103,51 @@ func TestShapeFactoringMatchesPerTenantBaseline(t *testing.T) {
 			Streams: 3 + trial%5,
 			Seed:    uint64(1000 + trial),
 		}
-		run := func(factor bool) []TickResult {
-			svc := cseService(t, cfg, WithWorkers(1), WithFleetPlanning(false),
-				WithCumulativeEstimator(), WithShapeFactoring(factor))
-			return svc.Run(8)
+		fleet := corpus.CSEFleet(cfg)
+		svc := cseService(t, cfg)
+		base, err := cseWorkload(t, cfg).Run(ticks)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ft, ut := run(true), run(false)
-		for ti := range ft {
-			for i := range ft[ti].Executions {
-				fe, ue := normalizeShared(ft[ti].Executions[i]), ut[ti].Executions[i]
-				if fe != ue {
-					t.Fatalf("trial %d (%d tenants / %d shapes) tick %d tenant %s:\nfactored   %+v\nbaseline   %+v",
-						trial, cfg.Tenants, cfg.Shapes, ti+1, ue.ID, fe, ue)
+		for ti, tr := range svc.Run(ticks) {
+			for i, e := range tr.Executions {
+				if e.ID != fleet[i].ID || e.Err != "" || e.Value != base[ti].Results[i].Value {
+					t.Fatalf("trial %d (%d tenants / %d shapes) tick %d tenant %s: verdict (%v, %q), baseline %v",
+						trial, cfg.Tenants, cfg.Shapes, tr.Tick, fleet[i].ID, e.Value, e.Err, base[ti].Results[i].Value)
+				}
+				lead := tr.Executions[fleet[i].Shape]
+				if i == fleet[i].Shape {
+					if e.Shared {
+						t.Fatalf("trial %d tick %d: leader %s flagged Shared", trial, tr.Tick, e.ID)
+					}
+					continue
+				}
+				if !e.Shared || e.Cost != 0 {
+					t.Fatalf("trial %d tick %d: twin %s not shared for free: %+v", trial, tr.Tick, e.ID, e)
+				}
+				twin := e
+				twin.ID, twin.Cost, twin.Shared = lead.ID, lead.Cost, false
+				if twin != lead {
+					t.Fatalf("trial %d tick %d: twin %s diverged from leader:\ntwin   %+v\nleader %+v", trial, tr.Tick, e.ID, e, lead)
 				}
 			}
+		}
+		m := svc.Metrics()
+		if want := int64(ticks * (cfg.Tenants - cfg.Shapes)); m.DistinctShapes != cfg.Shapes || m.SharedExecutions != want {
+			t.Fatalf("trial %d: census %d shapes / %d shared, want %d / %d",
+				trial, m.DistinctShapes, m.SharedExecutions, cfg.Shapes, want)
 		}
 	}
 }
 
-// Property: with the full default pipeline (joint fleet planning,
-// batching, windowed estimator), factoring must still deliver exactly
-// the baseline verdict to every tenant. Costs may differ — the joint
-// planner sees distinct shapes instead of the whole fleet, so twin
-// schedules and short-circuit pulls legitimately change — but truth
-// values cannot.
+// Property: with the full pipeline on the tick worker pool (joint fleet
+// planning over the distinct shapes, batching, windowed estimator),
+// every tenant still receives the per-query baseline's verdict. Costs
+// may differ from the baseline's — the joint planner orders pulls across
+// classes, so schedules and short-circuit pulls legitimately change —
+// but truth values cannot. The joint planner must actually have run.
 func TestShapeFactoringVerdictsMatchFleetPlanned(t *testing.T) {
+	const ticks = 12
 	for trial := 0; trial < 20; trial++ {
 		cfg := corpus.CSEConfig{
 			Tenants: 10 + trial%7,
@@ -130,19 +155,23 @@ func TestShapeFactoringVerdictsMatchFleetPlanned(t *testing.T) {
 			Streams: 4 + trial%3,
 			Seed:    uint64(7000 + trial),
 		}
-		run := func(factor bool) []TickResult {
-			svc := cseService(t, cfg, WithWorkers(1), WithShapeFactoring(factor))
-			return svc.Run(12)
+		svc := cseService(t, cfg, WithWorkers(4))
+		base, err := cseWorkload(t, cfg).Run(ticks)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ft, ut := run(true), run(false)
-		for ti := range ft {
-			for i := range ft[ti].Executions {
-				fe, ue := ft[ti].Executions[i], ut[ti].Executions[i]
-				if fe.ID != ue.ID || fe.Value != ue.Value || fe.Err != ue.Err {
-					t.Fatalf("trial %d tick %d tenant %s: factored verdict (%v, %q) != baseline (%v, %q)",
-						trial, ti+1, ue.ID, fe.Value, fe.Err, ue.Value, ue.Err)
+		for ti, tr := range svc.Run(ticks) {
+			for i, e := range tr.Executions {
+				want := base[ti].Results[i]
+				if e.Err != "" || e.Value != want.Value {
+					t.Fatalf("trial %d tick %d tenant %s: verdict (%v, %q), baseline %v",
+						trial, tr.Tick, e.ID, e.Value, e.Err, want.Value)
 				}
 			}
+		}
+		if m := svc.Metrics(); m.FleetPlans == 0 {
+			t.Fatalf("trial %d: the joint planner never ran (%d plans, %d reuses)",
+				trial, m.FleetPlans, m.FleetPlanReuses)
 		}
 	}
 }

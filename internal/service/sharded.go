@@ -85,13 +85,10 @@ type Sharded struct {
 	// co-located (a split class would execute once per holding shard,
 	// defeating the factoring), so a twin of a placed class skips the
 	// partitioner entirely and repartitions move classes as units.
-	// classSize counts each class's members. With shape factoring off
-	// every query keys its own singleton class and placement degenerates
-	// to the per-query behaviour.
-	shapeOf     map[string]string
-	classShard  map[string]int
-	classSize   map[string]int
-	shapeFactor bool
+	// classSize counts each class's members.
+	shapeOf    map[string]string
+	classShard map[string]int
+	classSize  map[string]int
 
 	tick          int64
 	lastRepart    int64
@@ -138,7 +135,7 @@ func NewSharded(reg *stream.Registry, k int, opts ...Option) *Sharded {
 	}
 	// Re-parse the options for the sharded-runtime knobs; the per-shard
 	// services parse them again themselves.
-	cfg := config{balance: 0, shapeFactor: true}
+	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -177,7 +174,6 @@ func newShardedShell(reg *stream.Registry, k int, cfg config) *Sharded {
 		shapeOf:     map[string]string{},
 		classShard:  map[string]int{},
 		classSize:   map[string]int{},
-		shapeFactor: cfg.shapeFactor,
 		loads:       make([]float64, k),
 		journal:     cfg.journal,
 		tracer:      cfg.tracer,
@@ -286,8 +282,7 @@ func (sh *Sharded) recomputeLossLocked(profiles []shard.Query) {
 // sharing-loss pricing over class representatives matches per-query
 // pricing while the planning work scales with distinct shapes instead
 // of fleet size (a 100k-query storm over 20 templates prices 20 trees,
-// not 100k). With shape factoring off every class is a singleton and
-// this is the identity. Caller holds sh.mu.
+// not 100k). Caller holds sh.mu.
 func (sh *Sharded) dedupByClassLocked(profiles []shard.Query) []shard.Query {
 	seen := make(map[string]bool, len(sh.classSize))
 	out := profiles[:0:0]
@@ -396,9 +391,7 @@ func (sh *Sharded) Register(id, text string, opts ...QueryOption) error {
 		if err != nil {
 			return fmt.Errorf("service: compiling %q: %w", id, err)
 		}
-		if sh.shapeFactor {
-			ck = coordClassKey(q, opts)
-		}
+		ck = coordClassKey(q, opts)
 		if owner, placed := sh.classShard[ck]; placed {
 			// A twin shape: co-locate with its class, no placement run.
 			target = owner
@@ -497,8 +490,7 @@ func (sh *Sharded) repartitionLocked() int {
 	// partitioning: under factoring a class executes once per tick
 	// wherever it lives, so the representative's own load is the class's
 	// honest load, and placing classes instead of queries guarantees
-	// twins are never split. With factoring off every class is a
-	// singleton and this is the per-query partition.
+	// twins are never split.
 	repOf := map[string]string{}
 	classProfiles := make([]shard.Query, 0, len(profiles))
 	for _, p := range profiles {
