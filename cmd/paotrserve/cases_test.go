@@ -787,8 +787,13 @@ func e2eCases() []e2eCase {
 					if m.RealizedOverExpected <= 0 {
 						t.Errorf("fleet ratio missing: %+v", m)
 					}
-					if len(m.PerQuery) != 1 || m.PerQuery[0].RealizedOverExpected <= 0 {
-						t.Errorf("per-query ratio missing: %+v", m.PerQuery)
+				}},
+			{"GET", "/queries", "", http.StatusOK,
+				func(t *testing.T, body []byte) {
+					var qs []service.QueryMetrics
+					mustDecode(t, body, &qs)
+					if len(qs) != 1 || qs[0].RealizedOverExpected <= 0 {
+						t.Errorf("per-query ratio missing: %+v", qs)
 					}
 				}},
 		}},

@@ -587,14 +587,20 @@ func (s *server) writeAdmission(w http.ResponseWriter, adm *service.AdmissionErr
 }
 
 func (s *server) handleListQueries(w http.ResponseWriter, r *http.Request) {
-	ids := s.svc.QueryIDs()
+	writeJSON(w, http.StatusOK, queryRows(s.svc))
+}
+
+// queryRows is the GET /queries body: every registered query's
+// aggregates, in registration order.
+func queryRows(rt service.Runtime) []service.QueryMetrics {
+	ids := rt.QueryIDs()
 	out := make([]service.QueryMetrics, 0, len(ids))
 	for _, id := range ids {
-		if m, err := s.svc.QueryMetrics(id); err == nil {
+		if m, err := rt.QueryMetrics(id); err == nil {
 			out = append(out, m)
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out
 }
 
 func (s *server) handleUnregister(w http.ResponseWriter, r *http.Request) {
@@ -701,7 +707,7 @@ func runDemo(w io.Writer, svc service.Runtime, steps int, gap float64) error {
 	m := svc.Metrics()
 	fmt.Fprintf(w, "%-14s %-8s %6s %6s %10s %10s %8s %s\n",
 		"query", "exec", "runs", "true", "paid J", "expect J", "plan-hit", "text")
-	for _, qm := range m.PerQuery {
+	for _, qm := range queryRows(svc) {
 		hit := 0.0
 		if qm.Executions > 0 {
 			hit = float64(qm.PlanCacheHits) / float64(qm.Executions)

@@ -11,14 +11,11 @@
 // Release) keep the per-stream horizon equal to the maximum window over
 // all registered queries, recomputed whenever the query set changes.
 //
-// Internally the cache is striped per stream: every stream's items and
-// traffic counters live in a shard guarded by its own mutex, so
-// concurrent pulls on different streams never contend. A top-level
-// RWMutex covers the structural state (time, retention horizons): stream
-// operations take it shared, while Advance / Retain / Release and the
-// aggregate accessors take it exclusively. This replaces the former
-// single global mutex, which serialized every pull of a worker pool
-// behind one lock regardless of stream.
+// Internally every stream's items and traffic counters are guarded by
+// that stream's own mutex, so concurrent pulls on different streams
+// never contend. A top-level RWMutex covers the structural state (time,
+// retention horizons): stream operations take it shared, while Advance /
+// Retain / Release and the aggregate accessors take it exclusively.
 package acquisition
 
 import (
@@ -30,13 +27,12 @@ import (
 	"paotr/internal/stream"
 )
 
-// shard holds the cached items and traffic counters of the streams
-// assigned to one stripe. All fields are guarded by mu (taken together
-// with the cache's structural read lock), except under the cache's
-// structural write lock, which excludes all shard access.
-type shard struct {
+// streamLock guards one stream's cached items and traffic counters
+// (taken together with the cache's structural read lock); the cache's
+// structural write lock excludes every stream lock holder.
+type streamLock struct {
 	mu sync.Mutex
-	_  [56]byte // pad to a 64-byte cache line so stripe locks do not false-share
+	_  [56]byte // pad to a 64-byte cache line so stream locks do not false-share
 }
 
 // streamView is an immutable snapshot of the contiguous most-recent
@@ -54,15 +50,14 @@ type streamView struct {
 // produced at step now-t. All methods are safe for concurrent use.
 type Cache struct {
 	// mu guards the structural state: now, base, claims, maxWindow.
-	// Stream operations hold it shared plus the stream's stripe lock;
-	// structural operations hold it exclusively (which also excludes all
-	// stripe-locked readers, so they may touch every stream's data
-	// without taking stripe locks).
+	// Stream operations hold it shared plus the stream's lock; structural
+	// operations hold it exclusively (which also excludes all
+	// stream-locked readers, so they may touch every stream's data
+	// without taking stream locks).
 	mu  sync.RWMutex
 	reg *stream.Registry
-	// shards[stripeOf[k]] guards the per-stream slices below at index k.
-	shards   []shard
-	stripeOf []int
+	// locks[k] guards the per-stream slices below at index k.
+	locks []streamLock
 	// items[k] = cached items of stream k, sorted by decreasing Seq
 	// (most recent first). Not necessarily contiguous after Advance.
 	items [][]stream.Item
@@ -111,42 +106,25 @@ type Cache struct {
 // NewCache creates a cache over the registry; maxWindow[k] is the fixed
 // retention horizon of stream k (the maximum window any query leaf uses on
 // that stream). Additional horizons can be claimed later with Retain.
-// The cache is striped per stream (see NewSharedStriped).
 func NewCache(reg *stream.Registry, maxWindow []int) (*Cache, error) {
 	if len(maxWindow) != reg.Len() {
 		return nil, fmt.Errorf("acquisition: %d horizons for %d streams", len(maxWindow), reg.Len())
 	}
-	return newStriped(reg, maxWindow, reg.Len()), nil
+	return newCache(reg, maxWindow), nil
 }
 
 // NewShared creates a cache with no fixed horizons: retention is driven
 // entirely by Retain/Release claims, the configuration of a multi-query
 // service where the query set changes at runtime.
 func NewShared(reg *stream.Registry) *Cache {
-	return NewSharedStriped(reg, 0)
+	return newCache(reg, make([]int, reg.Len()))
 }
 
-// NewSharedStriped is NewShared with an explicit stripe count: stream k's
-// data is guarded by stripe k mod stripes. stripes <= 0 uses one stripe
-// per stream (no two streams ever contend); stripes == 1 serializes every
-// stream operation behind a single lock — the pre-sharding behaviour,
-// kept as the benchmark baseline.
-func NewSharedStriped(reg *stream.Registry, stripes int) *Cache {
-	return newStriped(reg, make([]int, reg.Len()), stripes)
-}
-
-func newStriped(reg *stream.Registry, maxWindow []int, stripes int) *Cache {
+func newCache(reg *stream.Registry, maxWindow []int) *Cache {
 	n := reg.Len()
-	if stripes <= 0 || stripes > n {
-		stripes = n
-	}
-	if stripes < 1 {
-		stripes = 1
-	}
-	c := &Cache{
+	return &Cache{
 		reg:         reg,
-		shards:      make([]shard, stripes),
-		stripeOf:    make([]int, n),
+		locks:       make([]streamLock, n),
 		items:       make([][]stream.Item, n),
 		base:        append([]int(nil), maxWindow...),
 		claims:      map[string][]int{},
@@ -159,14 +137,7 @@ func newStriped(reg *stream.Registry, maxWindow []int, stripes int) *Cache {
 		relayHits:   make([]int64, n),
 		relaySaved:  make([]float64, n),
 	}
-	for k := range c.stripeOf {
-		c.stripeOf[k] = k % stripes
-	}
-	return c
 }
-
-// Stripes returns the number of lock stripes guarding per-stream data.
-func (c *Cache) Stripes() int { return len(c.shards) }
 
 // SetLedger attaches a fleet-wide transfer ledger: every item this cache
 // transfers from now on is also recorded there, so duplicated traffic
@@ -195,14 +166,14 @@ func (c *Cache) SetRelay(r *ItemRelay) {
 	}
 }
 
-// lockStream takes the structural read lock plus stream k's stripe lock.
-// The returned function releases both.
+// lockStream takes the structural read lock plus stream k's lock. The
+// returned function releases both.
 func (c *Cache) lockStream(k int) func() {
 	c.mu.RLock()
-	sh := &c.shards[c.stripeOf[k]]
-	sh.mu.Lock()
+	l := &c.locks[k].mu
+	l.Lock()
 	return func() {
-		sh.mu.Unlock()
+		l.Unlock()
 		c.mu.RUnlock()
 	}
 }
@@ -260,7 +231,7 @@ func (c *Cache) recomputeHorizons() {
 // evictLocked drops items older than the retention horizon and retires
 // every published warm view (ages shifted or horizons shrank, so a view
 // could otherwise serve items the cache no longer holds as free). Caller
-// holds mu exclusively (so no stripe locks are needed).
+// holds mu exclusively (so no stream locks are needed).
 func (c *Cache) evictLocked() {
 	for k := range c.views {
 		c.views[k].Store(nil)
@@ -579,7 +550,7 @@ func (c *Cache) Acquire(k, d int) ([]float64, float64, error) {
 	vals, err := c.valuesLocked(k, d)
 	if err == nil {
 		// Publish the prefix for subsequent warm readers this step. Writes
-		// serialize under the stripe lock; Advance/evict invalidate under
+		// serialize under the stream lock; Advance/evict invalidate under
 		// the structural write lock, which excludes us.
 		if v := c.views[k].Load(); v == nil || v.now != c.now || len(v.vals) < len(vals) {
 			c.views[k].Store(&streamView{now: c.now, vals: vals})
@@ -623,12 +594,12 @@ func (c *Cache) SnapshotInto(windows []int, out [][]bool) [][]bool {
 			row = make([]bool, d)
 		}
 		row = row[:d]
-		sh := &c.shards[c.stripeOf[k]]
-		sh.mu.Lock()
+		l := &c.locks[k].mu
+		l.Lock()
 		for t := 1; t <= d; t++ {
 			_, row[t-1] = c.cached(k, c.now-int64(t))
 		}
-		sh.mu.Unlock()
+		l.Unlock()
 		out[k] = row
 	}
 	return out

@@ -122,7 +122,7 @@ func TestConcurrentCachesSharedRegistry(t *testing.T) {
 		spend := make([]float64, caches)
 		var wg sync.WaitGroup
 		for ci := 0; ci < caches; ci++ {
-			c := NewSharedStriped(shared, 0)
+			c := NewShared(shared)
 			if err := c.Retain("race", windows); err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +166,7 @@ func TestConcurrentCachesSharedRegistry(t *testing.T) {
 		// Ground truth from a fresh, never-raced registry: one serial
 		// cache replaying the same schedule must see the same values.
 		ref := mk()
-		rc := NewSharedStriped(ref, 0)
+		rc := NewShared(ref)
 		if err := rc.Retain("race", windows); err != nil {
 			t.Fatal(err)
 		}

@@ -284,7 +284,9 @@ func TestGateSLOBurnShedsBronzeOnly(t *testing.T) {
 // gate prices and observes but never perturbs.
 func TestGatePassthroughIsByteIdentical(t *testing.T) {
 	run := func(gated bool) string {
-		s := New(testRegistry(13))
+		// One tick worker: which execution pays for a shared item depends
+		// on scheduling, and the comparison is byte for byte.
+		s := New(testRegistry(13), WithWorkers(1))
 		var rt Runtime = s
 		if gated {
 			cfg := admit.DefaultConfig()

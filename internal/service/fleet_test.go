@@ -6,12 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"runtime/metrics"
-	"sync"
 	"testing"
 	"time"
 
-	"paotr/internal/acquisition"
 	"paotr/internal/engine"
 	"paotr/internal/stream"
 )
@@ -248,21 +245,14 @@ func TestRegisterInvalidatesFleetPlans(t *testing.T) {
 	}
 }
 
-// fleetBenchResult is one row of BENCH_fleet.json. Planning rows report
-// J/tick and ticks/sec of the scheduling service; cache rows report the
-// concurrent multi-stream Acquire throughput that bounds tick throughput
-// at scale.
+// fleetBenchResult is one row of BENCH_fleet.json: the J/tick and
+// ticks/sec of one planning configuration.
 type fleetBenchResult struct {
 	Name     string  `json:"name"`
-	Unit     string  `json:"unit"` // "tick" or "acquire"
+	Unit     string  `json:"unit"` // "tick"
 	Ops      int     `json:"ops"`
 	JPerTick float64 `json:"j_per_tick,omitempty"`
 	PerSec   float64 `json:"per_sec"`
-	// MutexWaitNsPerOp is the time goroutines spent blocked on mutexes
-	// per operation (cache rows only): the serialization a single global
-	// lock imposes and per-stream striping removes. Unlike wall-clock
-	// throughput it exposes the contention even on single-core hosts.
-	MutexWaitNsPerOp float64 `json:"mutex_wait_ns_per_op,omitempty"`
 }
 
 // fleetBenchFile is the machine-readable benchmark artifact tracked
@@ -271,82 +261,8 @@ type fleetBenchFile struct {
 	GoMaxProcs int                `json:"gomaxprocs"`
 	Results    []fleetBenchResult `json:"results"`
 	// FleetSavingPct is the realized J/tick saving of fleet planning over
-	// the per-query workload; ShardedSpeedup the concurrent-acquire
-	// throughput ratio of the striped cache over the single global lock
-	// (meaningful on multi-core hosts; see MutexWaitNsPerOp for the
-	// host-independent contention picture).
+	// the per-query workload.
 	FleetSavingPct float64 `json:"fleet_saving_pct"`
-	ShardedSpeedup float64 `json:"sharded_speedup"`
-	// MutexWaitReduction is global-lock mutex wait divided by sharded
-	// mutex wait, per acquire — how much blocked time striping removes.
-	MutexWaitReduction float64 `json:"mutex_wait_reduction"`
-}
-
-// mutexWaitSeconds reads the runtime's cumulative mutex wait clock.
-func mutexWaitSeconds(t *testing.T) float64 {
-	t.Helper()
-	sample := []metrics.Sample{{Name: "/sync/mutex/wait/total:seconds"}}
-	metrics.Read(sample)
-	if sample[0].Value.Kind() != metrics.KindFloat64 {
-		t.Fatalf("mutex wait metric unavailable (kind %v)", sample[0].Value.Kind())
-	}
-	return sample[0].Value.Float64()
-}
-
-// measureCacheThroughput drives 8 goroutines of Acquire traffic over 16
-// disjoint streams and returns the aggregate acquires/sec — the
-// contention surface the stripe count controls. GOMAXPROCS is raised for
-// the measurement so the goroutines actually contend.
-func measureCacheThroughput(t *testing.T, name string, stripes int) fleetBenchResult {
-	t.Helper()
-	const streams, workers, opsPerWorker = 16, 8, 100000
-	reg := stream.NewRegistry()
-	for i := 0; i < streams; i++ {
-		if err := reg.Add(stream.Uniform(fmt.Sprintf("s%d", i), uint64(i+1)), stream.CostModel{BaseJoules: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := acquisition.NewSharedStriped(reg, stripes)
-	windows := make([]int, streams)
-	for k := range windows {
-		windows[k] = 8
-	}
-	if err := c.Retain("bench", windows); err != nil {
-		t.Fatal(err)
-	}
-	c.Advance(1)
-	prev := runtime.GOMAXPROCS(workers)
-	defer runtime.GOMAXPROCS(prev)
-	// Best-of-rounds: the lock-free fast path drains the whole op budget
-	// in milliseconds, so a single round is at the mercy of scheduler
-	// noise on a shared host.
-	const rounds = 3
-	ops := workers * opsPerWorker
-	best := fleetBenchResult{Name: name, Unit: "acquire", Ops: ops}
-	for r := 0; r < rounds; r++ {
-		wait0 := mutexWaitSeconds(t)
-		var wg sync.WaitGroup
-		t0 := time.Now()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				k := w % streams
-				for i := 0; i < opsPerWorker; i++ {
-					if _, _, err := c.Acquire(k, 8); err != nil {
-						t.Error(err)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		perSec := float64(ops) / time.Since(t0).Seconds()
-		if perSec > best.PerSec {
-			best.PerSec = perSec
-			best.MutexWaitNsPerOp = (mutexWaitSeconds(t) - wait0) * 1e9 / float64(ops)
-		}
-	}
-	return best
 }
 
 // TestWriteFleetBenchJSON emits BENCH_fleet.json when PAOTR_BENCH_JSON
@@ -386,35 +302,12 @@ func TestWriteFleetBenchJSON(t *testing.T) {
 		}
 	}, w.Spent)
 	fleetRes := measure("planning/fleet", func(n int) { svc.Run(n) }, func() float64 { return svc.Metrics().PaidCost })
-	// Interleave the two cache configurations: host-load drift between
-	// back-to-back measurements would otherwise bias the ratio.
-	var global, sharded fleetBenchResult
-	for r := 0; r < 3; r++ {
-		if g := measureCacheThroughput(t, "cache/global-lock", 1); g.PerSec > global.PerSec {
-			global = g
-		}
-		if s := measureCacheThroughput(t, "cache/sharded", 0); s.PerSec > sharded.PerSec {
-			sharded = s
-		}
-	}
-	file.Results = []fleetBenchResult{indep, fleetRes, global, sharded}
+	file.Results = []fleetBenchResult{indep, fleetRes}
 	if indep.JPerTick > 0 {
 		file.FleetSavingPct = 100 * (1 - fleetRes.JPerTick/indep.JPerTick)
 	}
-	if global.PerSec > 0 {
-		file.ShardedSpeedup = sharded.PerSec / global.PerSec
-	}
-	if sharded.MutexWaitNsPerOp > 0 {
-		file.MutexWaitReduction = global.MutexWaitNsPerOp / sharded.MutexWaitNsPerOp
-	}
 	if fleetRes.JPerTick > indep.JPerTick*1.01 {
 		t.Errorf("fleet planning J/tick %.2f exceeds the per-query workload's %.2f", fleetRes.JPerTick, indep.JPerTick)
-	}
-	if file.ShardedSpeedup < 0.95 {
-		// The lock-free view fast path must close the striping gap: warm
-		// repeat acquires bypass the stripe mutexes entirely, so the
-		// sharded cache may no longer lose to the single global lock.
-		t.Errorf("sharded cache %.2fx the global-lock throughput, want >= 0.95x", file.ShardedSpeedup)
 	}
 
 	data, err := json.MarshalIndent(file, "", "  ")
@@ -429,6 +322,5 @@ func TestWriteFleetBenchJSON(t *testing.T) {
 	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s: fleet saves %.1f%% J/tick, sharded cache %.2fx concurrent acquires/sec",
-		out, file.FleetSavingPct, file.ShardedSpeedup)
+	t.Logf("wrote %s: fleet saves %.1f%% J/tick", out, file.FleetSavingPct)
 }

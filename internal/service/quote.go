@@ -14,7 +14,6 @@ import (
 	"paotr/internal/fleet"
 	"paotr/internal/query"
 	"paotr/internal/sched"
-	"paotr/internal/shard"
 )
 
 // Quote is a registration's price tag: what admitting it would add to
@@ -155,47 +154,33 @@ func (s *Service) scaleTreeCosts(trees []*query.Tree) {
 }
 
 // QuoteRegister on the sharded coordinator prices the registration on
-// the shard it would be placed on: twins of a placed class are free,
-// otherwise the placement shard's worker quotes against its resident
-// fleet. Remote workers (paotrserve -worker processes) fall back to the
-// independent price of a neutrally compiled tree — the upper bound of
-// the marginal cost.
+// the shard Register would place it on (see placeLocked), where the
+// worker quotes against its resident fleet. Remote workers (paotrserve
+// -worker processes) fall back to the independent price of the neutrally
+// compiled tree — the upper bound of the marginal cost.
 func (sh *Sharded) QuoteRegister(id, text string, opts ...QueryOption) (Quote, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, dup := sh.assign[id]; dup {
 		return Quote{}, fmt.Errorf("%w: %q", ErrDuplicateID, id)
 	}
-	target := 0
-	if sh.k > 1 {
-		q, err := engine.New(sh.reg).Compile(text)
-		if err != nil {
-			return Quote{}, fmt.Errorf("service: compiling %q: %w", id, err)
-		}
-		if owner, placed := sh.classShard[coordClassKey(q, opts)]; placed {
-			target = owner
-		} else {
-			prof := shard.Profile(id, q.Tree())
-			target = shard.PlaceOne(prof, sh.profilesLocked(), sh.assign, sh.shardConfig())
-		}
+	p, err := sh.placeLocked(id, text, unplaced)
+	if err != nil {
+		return Quote{}, err
 	}
 	type quoter interface {
 		QuoteRegister(id, text string, opts ...QueryOption) (Quote, error)
 	}
-	if w, ok := sh.workers[target].(quoter); ok {
+	if w, ok := sh.workers[p.to].(quoter); ok {
 		return w.QuoteRegister(id, text, opts...)
 	}
-	// Remote worker: quote the no-sharing upper bound from a neutral
-	// compile (prior probabilities, static costs, cold cache).
-	q, err := engine.New(sh.reg).Compile(text)
-	if err != nil {
-		return Quote{}, fmt.Errorf("service: compiling %q: %w", id, err)
-	}
-	tree := q.Tree()
+	// Remote worker: quote the no-sharing upper bound (prior
+	// probabilities, static costs, cold cache).
+	tree := p.q.Tree()
 	cold := make(sched.Warm, len(tree.Streams))
 	for k, d := range tree.StreamMaxItems() {
 		cold[k] = make([]bool, d)
 	}
-	p := fleet.PlanJoint([]*query.Tree{tree}, cold)
-	return Quote{MarginalJPerTick: p.Expected, IndependentJPerTick: p.Expected}, nil
+	price := fleet.PlanJoint([]*query.Tree{tree}, cold).Expected
+	return Quote{MarginalJPerTick: price, IndependentJPerTick: price}, nil
 }

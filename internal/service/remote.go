@@ -501,7 +501,7 @@ func (rw *remoteWorker) listQueries() ([]workerQuery, error) {
 // queries the workers already hold are adopted into the coordinator's
 // assignment (coordinator restart), keyed by each worker's registration
 // order. Options configure the coordinator-side knobs (WithRelay,
-// WithShardBalance, WithRepartitionEvery); the worker processes carry
+// WithRepartitionEvery); the worker processes carry
 // their own service configuration. The cross-shard duplicate ledger is
 // in-process only and stays off in remote mode.
 func NewShardedRemote(reg *stream.Registry, endpoints []string, opts ...Option) (*Sharded, error) {
@@ -531,24 +531,15 @@ func NewShardedRemote(reg *stream.Registry, endpoints []string, opts ...Option) 
 			if err != nil {
 				return nil, fmt.Errorf("service: adopting worker %d: %w", i, err)
 			}
-			sh.assign[wq.ID] = i
-			sh.regOrder = append(sh.regOrder, wq.ID)
-			sh.regInfo[wq.ID] = &shardedQuery{text: wq.Query, opts: qopts}
-			// Re-derive the shape class so later twins co-locate here. An
-			// adopted fleet may already hold a class split across workers
-			// (pre-factoring state); the next repartition reunites it.
-			ck := "id\x00" + wq.ID
-			if q, err := engine.New(reg).Compile(wq.Query); err == nil {
-				ck = coordClassKey(q, qopts)
+			// The query stays where it is; recording its shape makes later
+			// twins co-locate here. An adopted fleet may already hold a
+			// shape split across workers; the next repartition reunites it.
+			p, err := sh.placeLocked(wq.ID, wq.Query, i)
+			if err != nil {
+				return nil, fmt.Errorf("service: adopting worker %d: %w", i, err)
 			}
-			sh.shapeOf[wq.ID] = ck
-			sh.classSize[ck]++
-			sh.classShard[ck] = i
+			sh.addLocked(wq.ID, wq.Query, qopts, p)
 		}
-	}
-	if len(sh.regOrder) > 0 {
-		sh.lossDirty = true
-		sh.scalesDirty = true
 	}
 	return sh, nil
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -245,13 +244,11 @@ type config struct {
 	engOpts  []engine.Option
 	exec     engine.Executor
 	adaptCfg adapt.Config
-	traceCap int
 	ledger   *acquisition.Ledger
 	relay    *acquisition.ItemRelay
-	// repartEvery, balance and relayFrac configure the sharded runtime
-	// (see NewSharded); a plain Service ignores them.
+	// repartEvery and relayFrac configure the sharded runtime (see
+	// NewSharded); a plain Service ignores them.
 	repartEvery int64
-	balance     float64
 	relayFrac   float64
 	shardIdx    int
 	// Observability wiring (see internal/obs): traceSample enables tick
@@ -384,19 +381,6 @@ func WithRepartitionEvery(n int) Option {
 	return func(c *config) { c.repartEvery = int64(n) }
 }
 
-// WithShardBalance sets the sharded partitioner's load-balance weight:
-// a query joins a shard when the expected spend it would share there
-// exceeds this factor times the overload it would cause beyond the mean
-// shard load (default 1; see shard.Config). A plain Service ignores it.
-func WithShardBalance(f float64) Option {
-	return func(c *config) { c.balance = f }
-}
-
-// WithTraceCap bounds the number of distinct predicates the cumulative
-// trace store retains (default 8192; 0 removes the bound). Churning
-// tenant registration otherwise grows the store forever.
-func WithTraceCap(n int) Option { return func(c *config) { c.traceCap = n } }
-
 // WithTraceSampling enables the span-style tick tracer at construction:
 // every n-th tick records one structured trace (phase durations, due
 // classes, plan cache hits vs replans, expected vs realized cost per
@@ -416,13 +400,18 @@ func WithJournal(j *obs.Journal) Option { return func(c *config) { c.journal = j
 // trace of a sampled tick).
 func WithTracer(t *obs.Tracer) Option { return func(c *config) { c.tracer = t } }
 
+// traceCap bounds the number of distinct predicates a service's
+// cumulative trace store retains: churning tenant registration would
+// otherwise grow the store forever.
+const traceCap = 8192
+
 // New creates a service over the registry with an empty shared cache.
 // Probabilities come from the windowed online estimator (see
 // internal/adapt): leaf probabilities and per-item costs are learned
 // from a sliding window of realized outcomes, and change detectors
 // actively invalidate affected plans.
 func New(reg *stream.Registry, opts ...Option) *Service {
-	cfg := config{workers: runtime.GOMAXPROCS(0), history: 64, traceCap: -1}
+	cfg := config{workers: runtime.GOMAXPROCS(0), history: 64}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -439,10 +428,7 @@ func New(reg *stream.Registry, opts ...Option) *Service {
 	// Prepend so explicit WithEngineOptions overrides still win.
 	engOpts := append([]engine.Option{engine.WithEstimator(ad), engine.WithCostSource(ad)}, cfg.engOpts...)
 	eng := engine.New(reg, engOpts...)
-	if cfg.traceCap < 0 {
-		cfg.traceCap = 8192
-	}
-	eng.Traces().SetCap(cfg.traceCap)
+	eng.Traces().SetCap(traceCap)
 	s := &Service{
 		reg:             reg,
 		eng:             eng,
@@ -911,7 +897,9 @@ type Execution struct {
 type TickResult struct {
 	// Tick is the time step just processed.
 	Tick int64 `json:"tick"`
-	// Executions holds one entry per due query, in registration order.
+	// Executions holds one entry per due query: in registration order on
+	// a plain Service, shard by shard under the sharded runtime (see
+	// Sharded.Tick).
 	Executions []Execution `json:"executions"`
 }
 
@@ -1569,8 +1557,8 @@ type Metrics struct {
 	// well-backed; 1 = no evidence).
 	AvgCIWidth float64 `json:"avg_ci_width,omitempty"`
 	// TrackedPredicates is the number of distinct predicates in the trace
-	// store; TraceEvictions counts predicates evicted to honour its cap
-	// (see WithTraceCap).
+	// store; TraceEvictions counts predicates evicted to honour its cap of
+	// 8192.
 	TrackedPredicates int   `json:"tracked_predicates"`
 	TraceEvictions    int64 `json:"trace_evictions"`
 	// CacheRequested / CacheTransferred / CacheHitRate report shared
@@ -1592,10 +1580,9 @@ type Metrics struct {
 	// quantiles are fleet-wide.
 	TickLatency obs.LatencySnapshot `json:"tick_latency,omitempty"`
 	// PerStream breaks acquisition traffic down by stream, by registry
-	// index (see StreamMetrics).
+	// index (see StreamMetrics). Per-query aggregates are not part of the
+	// fleet snapshot: read them per id with Runtime.QueryMetrics.
 	PerStream []StreamMetrics `json:"per_stream"`
-	// PerQuery holds the per-query aggregates, sorted by id.
-	PerQuery []QueryMetrics `json:"per_query"`
 
 	// Shards is the number of shard workers (0 on a plain unsharded
 	// Service, >= 1 under the sharded runtime; see NewSharded). The
@@ -1804,15 +1791,6 @@ func (s *Service) Metrics() Metrics {
 		m.RelayHits += ss.RelayHits
 		m.RelaySavedSpend += ss.RelaySaved
 	}
-	for _, r := range s.queries {
-		m.PerQuery = append(m.PerQuery, r.m.withRatio())
-	}
-	sortQueryMetrics(m.PerQuery)
 	m.TickLatency = s.hists.Snapshot()
 	return m
-}
-
-// sortQueryMetrics orders per-query aggregates by id.
-func sortQueryMetrics(qs []QueryMetrics) {
-	sort.Slice(qs, func(i, j int) bool { return qs[i].ID < qs[j].ID })
 }

@@ -1,8 +1,8 @@
 // Sharded is the horizontal scale-out of the scheduling service: a
 // coordinator owning the shard partitioner, the fleet-global L2 item
 // relay and the aggregated metrics, over K shard workers — each a full
-// Service with its own striped L1 acquisition cache, fleet planner and
-// windowed estimator — ticking asynchronously. Workers are in-process by
+// Service with its own L1 acquisition cache, fleet planner and windowed
+// estimator — ticking asynchronously. Workers are in-process by
 // default (NewSharded) or separate `paotrserve -worker` processes driven
 // over HTTP/JSON (NewShardedRemote; see remote.go): the coordinator sees
 // both through the Worker interface.
@@ -60,8 +60,12 @@ type shardedQuery struct {
 // Sharded runs K shard workers over one stream registry. All methods
 // are safe for concurrent use. It implements Runtime.
 type Sharded struct {
-	mu      sync.Mutex
-	reg     *stream.Registry
+	mu  sync.Mutex
+	reg *stream.Registry
+	// eng is the coordinator's neutral engine: prior probabilities, static
+	// stream costs and no executions of its own. Placement compiles on it
+	// (see placeLocked).
+	eng     *engine.Engine
 	workers []Worker
 	// locals holds the in-process *Service behind each worker (nil
 	// entries for remote workers), for tests and direct inspection.
@@ -72,20 +76,18 @@ type Sharded struct {
 	relay     *acquisition.ItemRelay
 	relayFrac float64
 	k         int
-	// balance and repartEvery come from WithShardBalance /
-	// WithRepartitionEvery.
-	balance     float64
+	// repartEvery comes from WithRepartitionEvery.
 	repartEvery int64
 
 	assign   map[string]int
 	regOrder []string
 	regInfo  map[string]*shardedQuery
-	// shapeOf maps each query id to its shape-class key and classShard
-	// each live class to the shard it lives on: shape twins are always
-	// co-located (a split class would execute once per holding shard,
-	// defeating the factoring), so a twin of a placed class skips the
-	// partitioner entirely and repartitions move classes as units.
-	// classSize counts each class's members.
+	// shapeOf maps each query id to its shape key and classShard each live
+	// shape to the shard it lives on: shape twins are always co-located (a
+	// split class would execute once per holding shard, defeating the
+	// factoring), so a twin of a placed shape skips the partitioner
+	// entirely and repartitions move shapes as units. classSize counts
+	// each shape's members.
 	shapeOf    map[string]string
 	classShard map[string]int
 	classSize  map[string]int
@@ -93,9 +95,6 @@ type Sharded struct {
 	tick          int64
 	lastRepart    int64
 	tripsAtRepart int64
-	// mergeByID is the tick merge's scratch map, reused across ticks so
-	// a large fleet doesn't re-grow a fleet-sized map every tick.
-	mergeByID map[string]Execution
 	// tickNow mirrors tick for the relay publish hook, which fires from
 	// worker tick goroutines while sh.mu is held by Tick.
 	tickNow atomic.Int64
@@ -166,8 +165,8 @@ func NewSharded(reg *stream.Registry, k int, opts ...Option) *Sharded {
 func newShardedShell(reg *stream.Registry, k int, cfg config) *Sharded {
 	sh := &Sharded{
 		reg:         reg,
+		eng:         engine.New(reg),
 		k:           k,
-		balance:     cfg.balance,
 		repartEvery: cfg.repartEvery,
 		assign:      map[string]int{},
 		regInfo:     map[string]*shardedQuery{},
@@ -233,7 +232,7 @@ func (sh *Sharded) Relay() *acquisition.ItemRelay { return sh.relay }
 
 // shardConfig is the partitioner configuration of this runtime.
 func (sh *Sharded) shardConfig() shard.Config {
-	return shard.Config{Shards: sh.k, Balance: sh.balance, RelayFrac: sh.relayFrac}
+	return shard.Config{Shards: sh.k, RelayFrac: sh.relayFrac}
 }
 
 // tripsNowLocked totals detector trips across workers — the drift
@@ -287,11 +286,7 @@ func (sh *Sharded) dedupByClassLocked(profiles []shard.Query) []shard.Query {
 	seen := make(map[string]bool, len(sh.classSize))
 	out := profiles[:0:0]
 	for _, p := range profiles {
-		ck, ok := sh.shapeOf[p.ID]
-		if !ok {
-			out = append(out, p)
-			continue
-		}
+		ck := sh.shapeOf[p.ID]
 		if seen[ck] {
 			continue
 		}
@@ -348,69 +343,73 @@ func (sh *Sharded) updateRelayScalesLocked(profiles []shard.Query) {
 	sh.scalesDirty = false
 }
 
-// coordClassKey is the coordinator's shape-class key for a query: the
-// per-query executor override's name (or a default marker — every
-// in-process worker shares the same default executor) plus the compiled
-// tree's canonical shape. It mirrors the worker-side class key closely
-// enough that queries the coordinator co-locates intern into one class
-// on their shard.
-func coordClassKey(q *engine.Query, opts []QueryOption) string {
-	var probe registered
-	for _, o := range opts {
-		o(&probe)
-	}
-	x := "default"
-	if probe.exec != nil {
-		x = probe.exec.Name()
-	}
-	return x + "\x00" + q.ShapeKey()
+// unplaced asks placeLocked to choose a new query's shard.
+const unplaced = -1
+
+// placement is where placeLocked puts a query: its shard, its shape key
+// and the query compiled on the coordinator's neutral engine.
+type placement struct {
+	to    int
+	shape string
+	q     *engine.Query
 }
 
-// Register places the query on a shard by stream affinity (see
-// shard.PlaceOne) and registers it there. A shape twin of an already
-// placed class joins its class's shard directly — twins are never split,
-// and the placement costs no partitioner work. Other existing queries
-// stay put — full repartitions happen on Repartition or on estimator
-// drift.
+// placeLocked is the coordinator's one placement path, shared by
+// Register, QuoteRegister and remote-worker adoption. It compiles the
+// query on the neutral engine and keys it by Query.ShapeKey alone: a
+// query whose shape is already placed joins that shape's shard. Workers
+// still split a shape's queries into classes by executor, so co-locating
+// by shape never splits a class. at is the shard an adopted query
+// already lives on, or unplaced. A new shape goes where shard.PlaceOne
+// puts it, profiled at prior probabilities and static costs: it has no
+// evidence of its own yet, and no shard's evidence should leak into its
+// price. Caller holds sh.mu.
+func (sh *Sharded) placeLocked(id, text string, at int) (placement, error) {
+	q, err := sh.eng.Compile(text)
+	if err != nil {
+		return placement{}, fmt.Errorf("service: compiling %q: %w", id, err)
+	}
+	p := placement{to: at, shape: q.ShapeKey(), q: q}
+	if at != unplaced {
+		return p, nil
+	}
+	owner, placed := sh.classShard[p.shape]
+	if !placed && sh.k > 1 {
+		owner = shard.PlaceOne(shard.Profile(id, q.Tree()), sh.profilesLocked(), sh.assign, sh.shardConfig())
+	}
+	p.to = owner
+	return p, nil
+}
+
+// addLocked records a query registered on shard p.to. Caller holds sh.mu.
+func (sh *Sharded) addLocked(id, text string, opts []QueryOption, p placement) {
+	sh.assign[id] = p.to
+	sh.regOrder = append(sh.regOrder, id)
+	sh.regInfo[id] = &shardedQuery{text: text, opts: opts}
+	sh.shapeOf[id] = p.shape
+	sh.classSize[p.shape]++
+	sh.classShard[p.shape] = p.to
+	sh.lossDirty = true
+	sh.scalesDirty = true
+}
+
+// Register places the query (see placeLocked) and registers it on its
+// shard. Other existing queries stay put — full repartitions happen on
+// Repartition or on estimator drift.
 func (sh *Sharded) Register(id, text string, opts ...QueryOption) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, dup := sh.assign[id]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateID, id)
 	}
-	target := 0
-	ck := "id\x00" + id
-	if sh.k > 1 {
-		// Profile the new query on a neutral engine — prior probabilities
-		// and static stream costs — so no shard's learned evidence for
-		// predicates it happens to share leaks into the profile. Standing
-		// queries are profiled with their own shards' learned estimates;
-		// the new query has no evidence of its own yet, and the prior is
-		// its honest price.
-		q, err := engine.New(sh.reg).Compile(text)
-		if err != nil {
-			return fmt.Errorf("service: compiling %q: %w", id, err)
-		}
-		ck = coordClassKey(q, opts)
-		if owner, placed := sh.classShard[ck]; placed {
-			// A twin shape: co-locate with its class, no placement run.
-			target = owner
-		} else {
-			prof := shard.Profile(id, q.Tree())
-			target = shard.PlaceOne(prof, sh.profilesLocked(), sh.assign, sh.shardConfig())
-		}
-	}
-	if err := sh.workers[target].Register(id, text, opts...); err != nil {
+	p, err := sh.placeLocked(id, text, unplaced)
+	if err != nil {
 		return err
 	}
-	sh.assign[id] = target
-	sh.regOrder = append(sh.regOrder, id)
-	sh.regInfo[id] = &shardedQuery{text: text, opts: opts}
-	sh.shapeOf[id] = ck
-	sh.classSize[ck]++
-	sh.classShard[ck] = target
-	sh.lossDirty = true
-	sh.scalesDirty = true
+	if err := sh.workers[p.to].Register(id, text, opts...); err != nil {
+		return err
+	}
+	sh.addLocked(id, text, opts, p)
 	return nil
 }
 
@@ -433,13 +432,12 @@ func (sh *Sharded) Unregister(id string) error {
 			break
 		}
 	}
-	if ck, ok := sh.shapeOf[id]; ok {
-		delete(sh.shapeOf, id)
-		if sh.classSize[ck]--; sh.classSize[ck] <= 0 {
-			// Last subscriber gone: the class releases its shard claim.
-			delete(sh.classSize, ck)
-			delete(sh.classShard, ck)
-		}
+	ck := sh.shapeOf[id]
+	delete(sh.shapeOf, id)
+	if sh.classSize[ck]--; sh.classSize[ck] <= 0 {
+		// Last subscriber gone: the shape releases its shard claim.
+		delete(sh.classSize, ck)
+		delete(sh.classShard, ck)
 	}
 	sh.lossDirty = true
 	sh.scalesDirty = true
@@ -486,20 +484,14 @@ func (sh *Sharded) repartitionLocked() int {
 		return 0
 	}
 	profiles := sh.profilesLocked()
-	// Collapse the fleet to one profile per shape class before
-	// partitioning: under factoring a class executes once per tick
-	// wherever it lives, so the representative's own load is the class's
-	// honest load, and placing classes instead of queries guarantees
-	// twins are never split.
+	// Collapse the fleet to one profile per shape before partitioning:
+	// under factoring a class executes once per tick wherever it lives,
+	// so the representative's own load is the class's honest load, and
+	// placing shapes instead of queries guarantees twins are never split.
 	repOf := map[string]string{}
 	classProfiles := make([]shard.Query, 0, len(profiles))
 	for _, p := range profiles {
-		ck, ok := sh.shapeOf[p.ID]
-		if !ok {
-			ck = "id\x00" + p.ID
-			sh.shapeOf[p.ID] = ck
-			sh.classSize[ck]++
-		}
+		ck := sh.shapeOf[p.ID]
 		if _, seen := repOf[ck]; seen {
 			continue
 		}
@@ -579,9 +571,9 @@ func (sh *Sharded) maybeRepartitionLocked() {
 
 // Tick advances every shard worker by one step. Shards tick
 // concurrently — each against its own cache, planner and estimator — and
-// the merged result reports every due query's execution in registration
-// order, tagged with the shard that ran it. With one shard this is
-// exactly Service.Tick.
+// the result concatenates their executions in shard order, each shard's
+// in its own registration order, tagged with the shard that ran it. With
+// one shard this is exactly Service.Tick.
 func (sh *Sharded) Tick() TickResult {
 	if sh.k == 1 {
 		return sh.workers[0].Tick()
@@ -606,22 +598,13 @@ func (sh *Sharded) Tick() TickResult {
 	wg.Wait()
 	// Executions arrive already stamped with their shard and the shared
 	// tick (every worker ticks once per Sharded.Tick).
-	if sh.mergeByID == nil {
-		sh.mergeByID = make(map[string]Execution, len(sh.regOrder))
-	} else {
-		clear(sh.mergeByID)
-	}
-	byID := sh.mergeByID
+	n := 0
 	for _, tr := range results {
-		for _, e := range tr.Executions {
-			byID[e.ID] = e
-		}
+		n += len(tr.Executions)
 	}
-	out := TickResult{Tick: sh.tick, Executions: make([]Execution, 0, len(byID))}
-	for _, id := range sh.regOrder {
-		if e, ok := byID[id]; ok {
-			out.Executions = append(out.Executions, e)
-		}
+	out := TickResult{Tick: sh.tick, Executions: make([]Execution, 0, n)}
+	for _, tr := range results {
+		out.Executions = append(out.Executions, tr.Executions...)
 	}
 	return out
 }
@@ -750,7 +733,6 @@ func (sh *Sharded) Metrics() Metrics {
 		// quantiles are computed over every shard's observations. Remote
 		// workers' snapshots arrive through their Metrics JSON.
 		m.TickLatency = obs.MergeLatency(m.TickLatency, pm.TickLatency)
-		m.PerQuery = append(m.PerQuery, pm.PerQuery...)
 		load := 0.0
 		if i < len(sh.loads) {
 			load = sh.loads[i]
@@ -783,7 +765,6 @@ func (sh *Sharded) Metrics() Metrics {
 		}
 	}
 	m.PerStream = perStream
-	sortQueryMetrics(m.PerQuery)
 	if m.ExpectedCost > 0 {
 		m.RealizedOverExpected = m.PaidCost / m.ExpectedCost
 	}

@@ -46,6 +46,32 @@ func TestShardedOneShardByteIdentical(t *testing.T) {
 	}
 }
 
+// TestShardedCoLocatesExecutorTwins: a twin registered with an explicit
+// linear executor has the same shape as its default-executor twins (the
+// default executor is linear), so the coordinator must place it on their
+// shard, where the worker interns all four into one class.
+func TestShardedCoLocatesExecutorTwins(t *testing.T) {
+	const text = "AVG(heart-rate,5) > 100 AND accelerometer < 12"
+	sh := NewSharded(testRegistry(3), 4, WithWorkers(1))
+	for i := 0; i < 3; i++ {
+		if err := sh.Register(fmt.Sprintf("twin%d", i), text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sh.Register("linear", text, WithQueryExecutor(engine.LinearExecutor{})); err != nil {
+		t.Fatal(err)
+	}
+	assign := sh.Assignment()
+	for id, s := range assign {
+		if s != assign["twin0"] {
+			t.Errorf("%s placed on shard %d, its twins on shard %d", id, s, assign["twin0"])
+		}
+	}
+	if m := sh.Metrics(); m.DistinctShapes != 1 {
+		t.Errorf("distinct shapes = %d, want 1", m.DistinctShapes)
+	}
+}
+
 // TestShardStressMatchesSequential is the sharded counterpart of the
 // fleet stress test: 4 shard workers over 8 queries sharing overlapping
 // streams, ticking concurrently against private caches, must produce

@@ -20,9 +20,10 @@
 // per-stream weight vector — the summed Proposition 2 acquisition
 // probabilities of its independent schedule, priced per item — and an
 // expected-cost load. Queries are placed heaviest-first onto the shard
-// maximizing stream-weight overlap minus a load-balance penalty (both
-// in expected-cost units); ties fall to the least-loaded shard, so a
-// no-overlap fleet degenerates to plain LPT load balancing.
+// maximizing stream-weight overlap minus the overload the query would
+// cause beyond the mean shard load (both in expected-cost units); ties
+// fall to the least-loaded shard, so a no-overlap fleet degenerates to
+// plain LPT load balancing.
 //
 // SharingLoss quantifies what a placement gives up: the sum of the
 // per-shard joint plan costs (each shard plans only over its own
@@ -90,12 +91,6 @@ func Profile(id string, t *query.Tree) Query {
 type Config struct {
 	// Shards is the number of shard workers (minimum 1).
 	Shards int
-	// Balance weighs the load-balance penalty against stream-affinity
-	// overlap. Both are in expected-cost units: a query joins a shard
-	// when the spend it would share there exceeds Balance times the
-	// overload it would cause beyond the mean shard load. Higher values
-	// flatten load at the price of sharing; <= 0 defaults to 1.
-	Balance float64
 	// RelayFrac is the fleet relay's per-item transfer cost as a fraction
 	// of acquisition cost (0 = no relay, clamped to [0, 1]). With a relay,
 	// an item a query needs from a *different* shard is no longer
@@ -110,9 +105,6 @@ type Config struct {
 func (c Config) norm() Config {
 	if c.Shards < 1 {
 		c.Shards = 1
-	}
-	if c.Balance <= 0 {
-		c.Balance = 1
 	}
 	if c.RelayFrac < 0 {
 		c.RelayFrac = 0
@@ -150,24 +142,24 @@ func affinity(q Query, shardW []float64) float64 {
 }
 
 // place picks the shard for one query given the current per-shard
-// state, maximizing affinity minus the weighted overload the placement
-// would cause beyond the mean shard load. Affinity and overload are
-// both expected-cost quantities, so a query co-locates with its
-// overlapping siblings exactly when the spend it would share outweighs
-// the imbalance it creates. With a fleet relay, items held by another
+// state, maximizing affinity minus the overload the placement would
+// cause beyond the mean shard load. Affinity and overload are both
+// expected-cost quantities, so a query co-locates with its overlapping
+// siblings exactly when the spend it would share outweighs the imbalance
+// it creates. With a fleet relay, items held by another
 // shard cost only relayFrac of acquisition, so the shareable spend — and
 // with it the pull toward co-location — shrinks to (1-relayFrac) of the
 // affinity. Ties fall to the least-loaded, then lowest-index, shard — on
 // a no-overlap fleet this is plain LPT load balancing. Deterministic for
 // a fixed input order.
-func place(q Query, shardW [][]float64, loads []float64, target, balance, relayFrac float64) int {
+func place(q Query, shardW [][]float64, loads []float64, target, relayFrac float64) int {
 	best, bestScore := 0, math.Inf(-1)
 	for s := range loads {
 		overload := loads[s] + q.Load - target
 		if overload < 0 {
 			overload = 0
 		}
-		score := (1-relayFrac)*affinity(q, shardW[s]) - balance*overload
+		score := (1-relayFrac)*affinity(q, shardW[s]) - overload
 		if score > bestScore || (score == bestScore && loads[s] < loads[best]) {
 			best, bestScore = s, score
 		}
@@ -208,7 +200,7 @@ func Partition(qs []Query, cfg Config) Assignment {
 	}
 	for _, i := range order {
 		q := qs[i]
-		s := place(q, shardW, out.Loads, target, cfg.Balance, cfg.RelayFrac)
+		s := place(q, shardW, out.Loads, target, cfg.RelayFrac)
 		out.Shard[q.ID] = s
 		out.Loads[s] += q.Load
 		for k, w := range q.Weights {
@@ -243,7 +235,7 @@ func PlaceOne(q Query, existing []Query, assign map[string]int, cfg Config) int 
 			}
 		}
 	}
-	return place(q, shardW, loads, total/float64(cfg.Shards), cfg.Balance, cfg.RelayFrac)
+	return place(q, shardW, loads, total/float64(cfg.Shards), cfg.RelayFrac)
 }
 
 // Loss is the modelled cost of a placement versus planning the fleet as
