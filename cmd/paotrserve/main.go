@@ -166,10 +166,6 @@ func main() {
 			"SLO window in ticks over which the admission controller measures p99 tick latency (0 = default 64)")
 		admitSLOGoldMS = flag.Float64("admit-slo-gold-ms", 0,
 			"gold-tier p99 tick-latency objective in milliseconds; sustained breach marks the fleet overloaded (0 = default 250)")
-		admitSLOSilverMS = flag.Float64("admit-slo-silver-ms", 0,
-			"silver-tier p99 tick-latency objective in milliseconds (0 = default 1000)")
-		admitSLOBronzeMS = flag.Float64("admit-slo-bronze-ms", 0,
-			"bronze-tier p99 tick-latency objective in milliseconds (0 = default 4000)")
 		traceSample = flag.Int("trace-sample", 0,
 			"tick-tracer sampling period: every n-th tick records one structured trace served at /debug/ticks/{n} (0 = tracing off, the zero-allocation default)")
 		logJSON = flag.Bool("log-json", false,
@@ -187,8 +183,7 @@ func main() {
 		traceSample: *traceSample,
 		admit:       *admitOn,
 		admitRate:   *admitRate, admitBurst: *admitBurst, admitWindow: *admitWindow,
-		admitSLOGoldMS: *admitSLOGoldMS, admitSLOSilverMS: *admitSLOSilverMS,
-		admitSLOBronzeMS: *admitSLOBronzeMS,
+		admitSLOGoldMS: *admitSLOGoldMS,
 	}
 	if *workerMode {
 		lg.shard = *shardIndex
@@ -270,13 +265,11 @@ type serviceConfig struct {
 	// admit gates registrations behind admission control (the -admit
 	// flag); the remaining knobs tune the controller, 0 meaning the
 	// admit.DefaultConfig value.
-	admit            bool
-	admitRate        float64
-	admitBurst       float64
-	admitWindow      int
-	admitSLOGoldMS   float64
-	admitSLOSilverMS float64
-	admitSLOBronzeMS float64
+	admit          bool
+	admitRate      float64
+	admitBurst     float64
+	admitWindow    int
+	admitSLOGoldMS float64
 }
 
 // admitConfigFor maps the CLI's admission knobs onto an admit.Config,
@@ -292,18 +285,8 @@ func admitConfigFor(cfg serviceConfig) admit.Config {
 	if cfg.admitWindow > 0 {
 		c.WindowTicks = cfg.admitWindow
 	}
-	slos := []struct {
-		tier admit.Tier
-		ms   float64
-	}{
-		{admit.TierGold, cfg.admitSLOGoldMS},
-		{admit.TierSilver, cfg.admitSLOSilverMS},
-		{admit.TierBronze, cfg.admitSLOBronzeMS},
-	}
-	for _, s := range slos {
-		if s.ms > 0 {
-			c.SLOTickP99[s.tier] = time.Duration(s.ms * float64(time.Millisecond))
-		}
+	if cfg.admitSLOGoldMS > 0 {
+		c.SLOTickP99[admit.TierGold] = time.Duration(cfg.admitSLOGoldMS * float64(time.Millisecond))
 	}
 	return c
 }

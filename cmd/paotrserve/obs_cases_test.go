@@ -164,6 +164,52 @@ func obsCases() []e2eCase {
 					}
 				}},
 		}},
+		{caseID: "E00904", name: "every counter on metrics.prom matches metrics, unsharded", steps: counterParitySteps()},
+		{caseID: "E00904", name: "every counter on metrics.prom matches metrics, 4 shards with the relay",
+			server: relayShardedServer(0.1), steps: counterParitySteps()},
+	}
+}
+
+// counterParitySteps drives a fleet with twins, reads GET /metrics and
+// then GET /metrics.prom, and requires every service.Counters key the
+// JSON reports to equal its exposition sample (see counterSamples).
+// Nothing ticks between the two reads, so the counters cannot move.
+func counterParitySteps() []e2eStep {
+	var js map[string]any
+	return []e2eStep{
+		{"POST", "/queries", `{"id":"hr","query":"AVG(heart-rate,5) > 100 AND accelerometer < 12"}`, http.StatusCreated, nil},
+		{"POST", "/queries", `{"id":"hr-twin","query":"accelerometer < 12 AND AVG(heart-rate,5) > 100"}`, http.StatusCreated, nil},
+		{"POST", "/queries", `{"id":"ox","query":"spo2 < 92 OR heart-rate > 110"}`, http.StatusCreated, nil},
+		{"POST", "/queries", `{"id":"move","query":"accelerometer > 15 OR gps-speed > 1.5"}`, http.StatusCreated, nil},
+		{"POST", "/queries", `{"id":"env","query":"temperature > 24 OR (accelerometer > 20 AND gps-speed > 1.0)"}`, http.StatusCreated, nil},
+		{"POST", "/queries", `{"id":"ad","query":"AVG(spo2,3) < 95 AND heart-rate > 90","executor":"adaptive"}`, http.StatusCreated, nil},
+		{"POST", "/tick", `{"steps":40}`, http.StatusOK, nil},
+		{"GET", "/metrics", "", http.StatusOK, func(t *testing.T, body []byte) {
+			js = nil
+			mustDecode(t, body, &js)
+		}},
+		{"GET", "/metrics.prom", "", http.StatusOK, func(t *testing.T, body []byte) {
+			if _, err := obs.LintProm(bytes.NewReader(body)); err != nil {
+				t.Fatalf("exposition does not lint: %v\n%s", err, body)
+			}
+			samples := promSamples(t, body)
+			for key, cs := range counterSamples(t) {
+				jv, inJSON := js[key]
+				pv, inProm := samples[cs.sample]
+				switch {
+				case inJSON && !inProm:
+					t.Errorf("/metrics reports %s = %v, /metrics.prom has no %s", key, jv, cs.sample)
+				case inProm:
+					want := 0.0 // a zero omitted from the JSON
+					if inJSON {
+						want = jv.(float64) / cs.div
+					}
+					if pv != want {
+						t.Errorf("%s = %v on /metrics.prom, want %v from /metrics %s", cs.sample, pv, want, key)
+					}
+				}
+			}
+		}},
 	}
 }
 

@@ -1,9 +1,10 @@
 // Prometheus text exposition for the serving runtime: GET /metrics.prom
-// renders the same counters the JSON /metrics endpoint reports, plus the
-// tick-latency histograms and the event-journal census, in the text
-// exposition format (0.0.4) — hand-rolled via internal/obs so the repo
-// stays dependency-free. The payload is validated in CI by
-// cmd/metricslint against obs.LintProm.
+// renders every service.Counters field the JSON /metrics endpoint
+// reports (TestWritePromCoversCounters pins that), plus the tick-latency
+// histograms and the event-journal census, in the text exposition
+// format (0.0.4) — hand-rolled via internal/obs so the repo stays
+// dependency-free. The payload is validated in CI by cmd/metricslint
+// against obs.LintProm.
 package main
 
 import (
@@ -51,13 +52,17 @@ func writeProm(buf *bytes.Buffer, m service.Metrics, j *obs.Journal, traceSample
 	counter("paotr_fleet_plans_total", "Joint fleet plans produced.", float64(m.FleetPlans))
 	counter("paotr_fleet_plan_reuses_total", "Joint fleet plans reused from the cache.", float64(m.FleetPlanReuses))
 	counter("paotr_fleet_plan_incremental_total", "Joint plans produced by patching a cached plan instead of replanning.", float64(m.FleetPlanIncremental))
+	counter("paotr_fleet_planned_executions_total", "Executions that ran a joint fleet schedule.", float64(m.FleetPlannedExecutions))
 	counter("paotr_plan_seconds_total", "Wall time spent in the joint planner.", float64(m.PlanNanos)/1e9)
+	counter("paotr_fleet_expected_joules_total", "Joint-planner modelled acquisition energy (every shared item priced once).", m.FleetExpectedCost)
+	counter("paotr_independent_expected_joules_total", "Acquisition energy per-query planning would have modelled for the same workloads.", m.IndependentExpectedCost)
 	gauge("paotr_distinct_shapes", "Distinct query shapes (shape-factoring equivalence classes).", float64(m.DistinctShapes))
 	gauge("paotr_shape_subscribers", "Queries subscribed to a shape class.", float64(m.ShapeSubscribers))
 	counter("paotr_shared_executions_total", "Executions served by a class leader's fan-out instead of evaluating.", float64(m.SharedExecutions))
 	counter("paotr_cache_requests_total", "Items requested from the acquisition cache.", float64(m.CacheRequested))
 	counter("paotr_cache_transfers_total", "Items actually transferred from streams (cache misses and prefetches).", float64(m.CacheTransferred))
 	counter("paotr_batched_items_total", "Items pre-acquired by the tick batcher.", float64(m.BatchedItems))
+	counter("paotr_batched_joules_total", "Acquisition energy the tick batcher paid on the fleet's behalf (included in paid).", m.BatchedCost)
 	counter("paotr_duplicate_pulls_avoided_total", "Duplicate same-tick pulls coalesced by the batcher.", float64(m.DuplicatePullsAvoided))
 	gauge("paotr_tracked_predicates", "Predicates with live estimator state.", float64(m.TrackedPredicates))
 	counter("paotr_trace_evictions_total", "Estimator predicate states evicted to honour the cap.", float64(m.TraceEvictions))
@@ -93,8 +98,8 @@ func writeProm(buf *bytes.Buffer, m service.Metrics, j *obs.Journal, traceSample
 		p.Value("paotr_stream_transfers_total", map[string]string{"stream": ps.Name}, float64(ps.Transferred))
 	}
 
-	// Tick-latency histograms (absent when -tick-hists=false): fleet-wide
-	// per phase, then the per-shard total-tick distributions.
+	// Tick-latency histograms: fleet-wide per phase, then the per-shard
+	// total-tick distributions.
 	if len(m.TickLatency) > 0 {
 		p.Header("paotr_tick_phase_seconds", "Tick latency by phase (plan/acquire/execute/fanout/total).", "histogram")
 		phases := make([]string, 0, len(m.TickLatency))

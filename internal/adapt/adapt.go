@@ -320,6 +320,13 @@ func (w *Windowed) evictLocked() {
 	}
 }
 
+// Len returns the number of predicates tracked (at most MaxPredicates).
+func (w *Windowed) Len() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return len(w.preds)
+}
+
 // Evictions returns how many predicates have been evicted to honour
 // MaxPredicates.
 func (w *Windowed) Evictions() int64 {

@@ -22,8 +22,8 @@ func adaptRegistry(t *testing.T) *stream.Registry {
 }
 
 // TestWithEstimatorDrivesPlanning: with a windowed estimator installed,
-// plan-time leaf probabilities come from it (not the cumulative store),
-// while the store keeps recording for persistence.
+// plan-time leaf probabilities come from it, and outcomes are recorded
+// into it alone: the cumulative store stays empty.
 func TestWithEstimatorDrivesPlanning(t *testing.T) {
 	ad := adapt.NewWindowed(adapt.Config{Window: 8})
 	e := New(adaptRegistry(t), WithEstimator(ad))
@@ -32,8 +32,7 @@ func TestWithEstimatorDrivesPlanning(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := q.Preds[0].P.String()
-	// 20 successes then 8 failures: the window only remembers failures,
-	// the cumulative store remembers everything.
+	// 20 successes then 8 failures: the window only remembers failures.
 	for i := 0; i < 20; i++ {
 		e.record(key, true)
 	}
@@ -47,8 +46,8 @@ func TestWithEstimatorDrivesPlanning(t *testing.T) {
 	if want > 0.2 {
 		t.Errorf("windowed estimate %v should reflect only the failing window", want)
 	}
-	if cum, n := e.Traces().Estimate(key); n != 28 || cum < 0.6 {
-		t.Errorf("cumulative store = (%v, %d), want all 28 outcomes", cum, n)
+	if n := e.Traces().Len(); n != 0 {
+		t.Errorf("cumulative store tracks %d predicates, want 0: outcomes go to the estimator alone", n)
 	}
 }
 

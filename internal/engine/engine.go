@@ -6,7 +6,7 @@
 // streams, paying for data acquisition and reusing cached items across
 // leaves.
 //
-// Every execution feeds outcomes back into the trace store and re-plans,
+// Every execution feeds outcomes back into the estimator and re-plans,
 // which is the adaptive behaviour of Lim, Misra and Mo [4].
 package engine
 
@@ -63,9 +63,9 @@ type Engine struct {
 	traces   *trace.Store
 	plan     Planner     // set by WithPlanner; overrides warm planning
 	planWarm WarmPlanner // default planning path
-	// est is the probability estimator planners consult (default: the
-	// cumulative trace store itself; see WithEstimator). Realized
-	// outcomes are recorded into both the store and est.
+	// est is the probability estimator planners consult and realized
+	// outcomes are recorded into (default: the cumulative trace store
+	// itself; see WithEstimator).
 	est trace.Estimator
 	// costs, when set, overrides static per-item stream costs at plan
 	// time with learned ones (see WithCostSource).
@@ -114,11 +114,12 @@ func WithWarmPlanner(p WarmPlanner) Option { return func(e *Engine) { e.planWarm
 // WithTraceStore supplies a pre-populated trace store.
 func WithTraceStore(s *trace.Store) Option { return func(e *Engine) { e.traces = s } }
 
-// WithEstimator installs a probability estimator consulted at plan time
-// in place of the cumulative trace store (which keeps recording outcomes
-// for persistence and inspection either way). When the estimator also
-// implements adapt's Subscribe, the engine subscribes to its detector
-// events and evicts exactly the affected cached plans on a trip.
+// WithEstimator installs a probability estimator in place of the
+// cumulative trace store: plan-time probabilities come from it and
+// realized outcomes are recorded into it alone, so the store (see
+// Traces) stays empty. When the estimator also implements adapt's
+// Subscribe, the engine subscribes to its detector events and evicts
+// exactly the affected cached plans on a trip.
 func WithEstimator(est trace.Estimator) Option { return func(e *Engine) { e.est = est } }
 
 // WithCostSource makes plan-time stream costs come from learned per-item
@@ -157,20 +158,16 @@ func New(reg *stream.Registry, opts ...Option) *Engine {
 	return e
 }
 
-// Traces exposes the engine's trace store.
+// Traces exposes the engine's cumulative trace store. It records
+// outcomes only while no other estimator is installed (see
+// WithEstimator).
 func (e *Engine) Traces() *trace.Store { return e.traces }
 
 // Estimator exposes the probability estimator planners consult.
 func (e *Engine) Estimator() trace.Estimator { return e.est }
 
-// record feeds one realized predicate outcome into the cumulative store
-// and, when a separate estimator is installed, into it as well.
-func (e *Engine) record(pred string, truth bool) {
-	e.traces.Record(pred, truth)
-	if e.est != nil && e.est != trace.Estimator(e.traces) {
-		e.est.Record(pred, truth)
-	}
-}
+// record feeds one realized predicate outcome into the estimator.
+func (e *Engine) record(pred string, truth bool) { e.est.Record(pred, truth) }
 
 // SetInvalidationHook installs an observer of forced plan invalidations:
 // after a detector trip evicts cached plans, the hook receives the trip
@@ -635,7 +632,7 @@ func maxDrift(a, b []float64) float64 {
 }
 
 // evalLeaf acquires leaf j's stream window from the cache, evaluates its
-// predicate and records the outcome in the trace store. It returns the
+// predicate and records the outcome in the estimator. It returns the
 // truth value and the acquisition cost paid (also on error, so callers
 // can account for partial acquisitions).
 func (q *Query) evalLeaf(t *query.Tree, j int, cache *acquisition.Cache) (bool, float64, error) {
@@ -710,7 +707,7 @@ func (s *orState) value() bool {
 
 // ExecutePlan runs a previously built plan against the cache's current
 // time, paying for acquisitions and recording predicate outcomes in the
-// trace store. The plan must have been built for the same cache state
+// estimator. The plan must have been built for the same cache state
 // (same Now and contents); Execute composes Plan and ExecutePlan.
 func (q *Query) ExecutePlan(p *Plan, cache *acquisition.Cache) (Result, error) {
 	t := p.Tree
@@ -736,7 +733,7 @@ func (q *Query) ExecutePlan(p *Plan, cache *acquisition.Cache) (Result, error) {
 }
 
 // Execute plans (or reuses a cached plan) and runs the query once against
-// the cache's current time, recording outcomes in the trace store. The
+// the cache's current time, recording outcomes in the estimator. The
 // caller advances time on the cache between executions (one execution per
 // arrival of new data, in the continuous-processing model of [4]).
 func (q *Query) Execute(cache *acquisition.Cache) (Result, error) {

@@ -47,15 +47,6 @@ type Executor interface {
 	Prepare(q *Query, cache *acquisition.Cache) (Prepared, error)
 }
 
-// Acquisition is one leaf's stream window: evaluating the leaf acquires
-// the Items most recent items of the stream.
-type Acquisition struct {
-	// Stream is the registry stream index.
-	Stream int
-	// Items is the leaf's window size.
-	Items int
-}
-
 // Prepared is one planned query execution, bound to its query.
 type Prepared interface {
 	// FirstAcquisition returns the stream index and window of the first
@@ -64,14 +55,6 @@ type Prepared interface {
 	// scheduler can pre-pull it without risk of waste. ok is false for
 	// empty plans.
 	FirstAcquisition() (stream int, items int, ok bool)
-	// Manifest returns the plan's leaf acquisitions in evaluation order:
-	// the stream windows the execution will request if no leaf
-	// short-circuits. Only the first entry is unconditional; later
-	// entries are what a fleet-level planner discounts against sibling
-	// plans. For an adaptive (decision-tree) plan only the unconditional
-	// root acquisition is listed — the rest depend on observed truth
-	// values.
-	Manifest() []Acquisition
 	// Execute runs the plan against the cache it was prepared for.
 	Execute(cache *acquisition.Cache) (Result, error)
 }
@@ -106,24 +89,9 @@ func (lp linearPrepared) FirstAcquisition() (int, int, bool) {
 	return int(l.Stream), l.Items, true
 }
 
-func (lp linearPrepared) Manifest() []Acquisition {
-	out := make([]Acquisition, len(lp.p.Schedule))
-	for i, j := range lp.p.Schedule {
-		l := lp.p.Tree.Leaves[j]
-		out[i] = Acquisition{Stream: int(l.Stream), Items: l.Items}
-	}
-	return out
-}
-
 func (lp linearPrepared) Execute(cache *acquisition.Cache) (Result, error) {
 	return lp.q.ExecutePlan(lp.p, cache)
 }
-
-// NewPrepared binds an externally built plan — e.g. a fleet-level joint
-// schedule — to its query for execution. The plan must have been built
-// for the cache state Execute will run against, like Query.Plan output;
-// it is not stored in the query's plan cache.
-func NewPrepared(q *Query, p *Plan) Prepared { return linearPrepared{q: q, p: p} }
 
 // AdaptiveExecutor executes an optimal non-linear (decision-tree)
 // strategy, computed by the strategy package's DP and cached with the same
@@ -165,17 +133,6 @@ func (ap adaptivePrepared) FirstAcquisition() (int, int, bool) {
 		return int(l.Stream), l.Items, true
 	}
 	return linearPrepared{q: ap.q, p: ap.ap.Linear}.FirstAcquisition()
-}
-
-func (ap adaptivePrepared) Manifest() []Acquisition {
-	if root := ap.ap.Root; root != nil {
-		if root.Leaf < 0 {
-			return nil
-		}
-		l := ap.ap.Tree.Leaves[root.Leaf]
-		return []Acquisition{{Stream: int(l.Stream), Items: l.Items}}
-	}
-	return linearPrepared{q: ap.q, p: ap.ap.Linear}.Manifest()
 }
 
 func (ap adaptivePrepared) Execute(cache *acquisition.Cache) (Result, error) {

@@ -224,11 +224,9 @@ func TestAdaptiveRealizedCostMatchesDP(t *testing.T) {
 	t.Logf("realized mean %.4f vs DP expectation %.4f over %d trials", mean, expected, trials)
 }
 
-// TestPreparedManifest: a linear plan's manifest lists every scheduled
-// leaf acquisition in order (the first entry matching FirstAcquisition);
-// an adaptive plan that walks a decision tree lists only its
-// unconditional root acquisition; and NewPrepared executes an externally
-// built schedule verbatim.
+// TestPreparedManifest: a prepared execution's first acquisition is the
+// one it cannot skip: the first scheduled leaf of a linear plan, and the
+// root leaf of an adaptive plan that walks a decision tree.
 func TestPreparedManifest(t *testing.T) {
 	reg := uniformRegistry(3, []string{"u0", "u1"}, []float64{2, 5})
 	eng := New(reg)
@@ -241,56 +239,38 @@ func TestPreparedManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache.Advance(1)
-	prep, err := LinearExecutor{}.Prepare(q, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man := prep.Manifest()
-	if len(man) != 2 {
-		t.Fatalf("manifest = %+v, want 2 acquisitions", man)
-	}
-	k, d, ok := prep.FirstAcquisition()
-	if !ok || man[0].Stream != k || man[0].Items != d {
-		t.Errorf("manifest head %+v != FirstAcquisition (%d, %d, %v)", man[0], k, d, ok)
-	}
-	total := 0
-	for _, a := range man {
-		total += a.Items
-	}
-	if total != 5 {
-		t.Errorf("manifest windows sum to %d, want 5 (3 + 2)", total)
-	}
-
-	// Adaptive plan with a forced decision tree: only the root is
-	// unconditional.
-	aprep, err := AdaptiveExecutor{GapThreshold: -1}.Prepare(q, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aman := aprep.Manifest()
-	if len(aman) != 1 {
-		t.Fatalf("adaptive manifest = %+v, want only the root acquisition", aman)
-	}
-	ak, ad, aok := aprep.FirstAcquisition()
-	if !aok || aman[0].Stream != ak || aman[0].Items != ad {
-		t.Errorf("adaptive manifest head %+v != FirstAcquisition (%d, %d)", aman[0], ak, ad)
-	}
-
-	// NewPrepared runs an externally supplied schedule (here: reversed).
 	plan, err := q.Plan(cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev := append([]int(nil), plan.Schedule...)
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	ext := NewPrepared(q, &Plan{Tree: plan.Tree, Schedule: rev, ExpectedCost: 1})
-	res, err := ext.Execute(cache)
+	prep, err := LinearExecutor{}.Prepare(q, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ExpectedCost != 1 || len(res.Schedule) != len(rev) || res.Schedule[0] != rev[0] {
-		t.Errorf("external plan not executed verbatim: %+v", res)
+	first := plan.Tree.Leaves[plan.Schedule[0]]
+	k, d, ok := prep.FirstAcquisition()
+	if !ok || k != int(first.Stream) || d != first.Items {
+		t.Errorf("linear FirstAcquisition = (%d, %d, %v), want the first scheduled leaf (%d, %d)",
+			k, d, ok, first.Stream, first.Items)
+	}
+
+	// Adaptive plan with a forced decision tree: the root is the only
+	// unconditional acquisition.
+	ap, err := q.PlanAdaptive(cache, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ap.Root == nil || ap.Root.Leaf < 0 {
+		t.Fatalf("forced adaptive plan has no decision tree: %+v", ap)
+	}
+	aprep, err := AdaptiveExecutor{GapThreshold: -1}.Prepare(q, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := ap.Tree.Leaves[ap.Root.Leaf]
+	ak, ad, aok := aprep.FirstAcquisition()
+	if !aok || ak != int(root.Stream) || ad != root.Items {
+		t.Errorf("adaptive FirstAcquisition = (%d, %d, %v), want the decision tree's root (%d, %d)",
+			ak, ad, aok, root.Stream, root.Items)
 	}
 }

@@ -50,7 +50,7 @@ func (s *Service) QuoteRegister(id, text string, opts ...QueryOption) (Quote, er
 		o(r)
 	}
 	var q *engine.Query
-	if c := s.textMemo[s.executorFor(r).Name()+"\x00"+text]; c != nil {
+	if c := s.textMemo[s.internKey(r, text)]; c != nil {
 		q = c.q
 	} else {
 		compiled, err := s.eng.Compile(text)
@@ -61,7 +61,7 @@ func (s *Service) QuoteRegister(id, text string, opts ...QueryOption) (Quote, er
 	}
 	r.q = q
 	tree := q.Tree()
-	if c := s.classes[s.classKeyFor(r)]; c != nil {
+	if c := s.classes[s.internKey(r, q.ShapeKey())]; c != nil {
 		// An exact twin of a resident shape: it shares the leader's
 		// execution and plan, so its marginal planned cost is zero.
 		return Quote{SharedShape: true, IndependentJPerTick: s.independentPriceLocked(tree)}, nil

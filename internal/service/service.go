@@ -1,7 +1,8 @@
 // Package service turns the single-query engine into a concurrent
 // multi-query scheduling service: many compiled queries share one stream
-// registry, one acquisition cache and one trace store, time advances in
-// ticks, and every query due at a tick executes on a worker pool.
+// registry, one acquisition cache and one windowed estimator, time
+// advances in ticks, and every query due at a tick executes on a worker
+// pool.
 //
 // Sharing is the point of the paper's model — a data item pulled for one
 // query is reused for free by every other query that needs it — and the
@@ -59,10 +60,11 @@ type Service struct {
 	classList []*shapeClass
 	planKeys  map[string]*shapeClass
 	textMemo  map[string]*shapeClass
-	// ad is the online estimator. After phase 3 of every tick, realized
-	// per-stream acquisition costs are fed back into it; its detector
-	// events invalidate the fleet plan cache here and per-query plan
-	// caches in the engine.
+	// ad is the online estimator and the service's only predicate store:
+	// the engine records every leaf outcome into it and plans from it.
+	// After phase 3 of every tick, realized per-stream acquisition costs
+	// are fed back into it; its detector events invalidate the fleet plan
+	// cache here and per-query plan caches in the engine.
 	ad *adapt.Windowed
 	// prevSpent/prevTransferred/prevRelaySaved snapshot per-stream cache
 	// accounting at the end of the previous tick, to derive per-tick cost
@@ -102,36 +104,22 @@ type Service struct {
 	// through this atomic instead of racing s.tick.
 	tickNow atomic.Int64
 	// hists records the per-phase tick-latency histograms (allocation-free
-	// atomic counters). tracer records sampled tick traces (disabled by
-	// default; see WithTraceSampling) and journal the rare structural
-	// events (drift trips, forced replans, evictions).
-	// Under the sharded runtime all three are shared across the in-process
+	// atomic counters), one set per service. tracer records sampled tick
+	// traces (disabled by default; see WithTraceSampling) and journal the
+	// rare structural events (drift trips, forced replans, evictions);
+	// the sharded runtime shares one of each across its in-process
 	// workers via options.
 	hists   *obs.TickHists
 	tracer  *obs.Tracer
 	journal *obs.Journal
 
-	executions    int64
-	planHits      int64
-	planMisses    int64
-	paidCost      float64
-	expCost       float64
-	evaluated     int64
-	adaptiveExecs int64
-	batchCost     float64
-	batchItems    int64
-	dupAvoided    int64
-	dupAvoidedK   []int64 // per-stream share of dupAvoided
-	fleetPlans    int64
-	fleetReuses   int64
-	fleetPatched  int64
-	fleetExecs    int64
-	fleetExpected float64
-	indepExpected float64
-	planNanos     int64
-	// sharedExecs counts executions served by fanning a shape leader's
-	// verdict out to a twin subscriber instead of re-evaluating the tree.
-	sharedExecs int64
+	// ctr accumulates the counters the tick path owns; Metrics fills in
+	// the rest at snapshot time. Its PaidCost holds the executions' costs
+	// only: Metrics adds BatchedCost, what the batcher paid on their
+	// behalf. dupAvoidedK is the per-stream share of
+	// ctr.DuplicatePullsAvoided.
+	ctr         Counters
+	dupAvoidedK []int64
 }
 
 // shapeClass is one shape equivalence class: every registered query whose
@@ -140,8 +128,8 @@ type Service struct {
 // one due member — the leader, the first due subscriber in registration
 // order — and fans the verdict out to the rest (see Tick).
 type shapeClass struct {
-	// key is the interning key (executor name + canonical shape string),
-	// hash the compact shape id for display.
+	// key is the interning key (executor configuration + canonical shape
+	// string; see internKey), hash the compact shape id for display.
 	key  string
 	hash uint64
 	// planKey is the class's stable id in the fleet plan cache. It
@@ -268,7 +256,7 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 func WithHistory(n int) Option { return func(c *config) { c.history = n } }
 
 // WithEngineOptions forwards options to the underlying engine (planner
-// overrides, trace store, replan threshold).
+// overrides, replan threshold).
 func WithEngineOptions(opts ...engine.Option) Option {
 	return func(c *config) { c.engOpts = append(c.engOpts, opts...) }
 }
@@ -400,11 +388,6 @@ func WithJournal(j *obs.Journal) Option { return func(c *config) { c.journal = j
 // trace of a sampled tick).
 func WithTracer(t *obs.Tracer) Option { return func(c *config) { c.tracer = t } }
 
-// traceCap bounds the number of distinct predicates a service's
-// cumulative trace store retains: churning tenant registration would
-// otherwise grow the store forever.
-const traceCap = 8192
-
 // New creates a service over the registry with an empty shared cache.
 // Probabilities come from the windowed online estimator (see
 // internal/adapt): leaf probabilities and per-item costs are learned
@@ -428,7 +411,6 @@ func New(reg *stream.Registry, opts ...Option) *Service {
 	// Prepend so explicit WithEngineOptions overrides still win.
 	engOpts := append([]engine.Option{engine.WithEstimator(ad), engine.WithCostSource(ad)}, cfg.engOpts...)
 	eng := engine.New(reg, engOpts...)
-	eng.Traces().SetCap(traceCap)
 	s := &Service{
 		reg:             reg,
 		eng:             eng,
@@ -462,9 +444,8 @@ func New(reg *stream.Registry, opts ...Option) *Service {
 	}
 	// Rare structural events feed the journal: forced plan evictions from
 	// the engine (detector trips land there first) and estimator-state
-	// evictions under the trace cap. Both hooks fire while the emitting
-	// component's lock is held, so they only append — the journal is a
-	// leaf lock.
+	// evictions (below). Both hooks fire while the emitting component's
+	// lock is held, so they only append — the journal is a leaf lock.
 	eng.SetInvalidationHook(func(kind, pred string, stream, dropped int) {
 		ev := obs.Event{Type: obs.EventForcedReplan, Tick: s.tickNow.Load(), Shard: s.shardIdx,
 			Pred: pred, Count: dropped, Detail: "query plans invalidated (" + kind + " trip)"}
@@ -472,10 +453,6 @@ func New(reg *stream.Registry, opts ...Option) *Service {
 			ev.Stream = stream
 		}
 		s.journal.Append(ev)
-	})
-	eng.Traces().SetEvictionHook(func(n int) {
-		s.journal.Append(obs.Event{Type: obs.EventEstimatorEviction, Tick: s.tickNow.Load(),
-			Shard: s.shardIdx, Count: n, Detail: "trace-store predicates evicted"})
 	})
 	if cfg.ledger != nil {
 		s.cache.SetLedger(cfg.ledger)
@@ -529,11 +506,11 @@ func (s *Service) TraceSampling() int { return s.tracer.Sampling() }
 // tracer's ring, oldest first.
 func (s *Service) TraceTicks() []int64 { return s.tracer.Ticks() }
 
-// treeAndKeys snapshots a registered query's probability-annotated tree
+// ProfileTree snapshots a registered query's probability-annotated tree
 // (estimator-backed probabilities, learned per-item costs) and its
-// predicate trace keys — what the sharded runtime profiles placements
-// and migrates estimator state with.
-func (s *Service) treeAndKeys(id string) (*query.Tree, []string, bool) {
+// predicate trace keys — what a coordinator profiles placements and
+// migrates estimator state with.
+func (s *Service) ProfileTree(id string) (*query.Tree, []string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r, ok := s.queries[id]
@@ -541,13 +518,6 @@ func (s *Service) treeAndKeys(id string) (*query.Tree, []string, bool) {
 		return nil, nil, false
 	}
 	return r.q.Tree(), r.q.PredKeys(), true
-}
-
-// ProfileTree is the exported treeAndKeys: the probability-annotated
-// tree and predicate trace keys of one registered query, what a
-// coordinator profiles placements and migrates estimator state with.
-func (s *Service) ProfileTree(id string) (*query.Tree, []string, bool) {
-	return s.treeAndKeys(id)
 }
 
 // Trips totals the online estimator's detector trips (predicate and
@@ -601,11 +571,13 @@ func (s *Service) SetStreamCostScale(scale []float64) {
 	s.planner.Invalidate()
 }
 
-// Adaptive exposes the online estimator, e.g. for estimator-state
-// inspection.
+// Adaptive exposes the online estimator, the service's one predicate
+// store, e.g. for estimator-state inspection.
 func (s *Service) Adaptive() *adapt.Windowed { return s.ad }
 
-// Engine exposes the shared engine (e.g. for trace-store inspection).
+// Engine exposes the service's engine: compiled queries, their plan
+// caches and forced-replan counts. Its cumulative trace store stays
+// empty, because leaf outcomes are recorded into Adaptive alone.
 func (s *Service) Engine() *engine.Engine { return s.eng }
 
 // Cache exposes the shared acquisition cache.
@@ -652,7 +624,7 @@ func (s *Service) Register(id, text string, opts ...QueryOption) error {
 	// executor interns into its class without compiling again, and shares
 	// the class's compiled query.
 	var ck string
-	mk := s.executorFor(r).Name() + "\x00" + text
+	mk := s.internKey(r, text)
 	if c := s.textMemo[mk]; c != nil {
 		r.q = c.q
 		ck = c.key
@@ -663,7 +635,7 @@ func (s *Service) Register(id, text string, opts ...QueryOption) error {
 			return fmt.Errorf("service: compiling %q: %w", id, err)
 		}
 		r.q = q
-		ck = s.classKeyFor(r)
+		ck = s.internKey(r, q.ShapeKey())
 	}
 	r.m = QueryMetrics{ID: id, Query: text, Every: r.every, Executor: s.executorFor(r).Name()}
 	if s.classes[ck] == nil {
@@ -684,12 +656,14 @@ func (s *Service) Register(id, text string, opts ...QueryOption) error {
 	return nil
 }
 
-// classKeyFor derives the shape-class key a query interns under. The
-// executor is part of the key: equal trees driven by different execution
-// strategies report different evaluated counts and strategies, so they
-// must not share executions.
-func (s *Service) classKeyFor(r *registered) string {
-	return s.executorFor(r).Name() + "\x00" + r.q.ShapeKey()
+// internKey keys what a query interns under — its shape class (of =
+// the shape key) or its exact-twin memo entry (of = the query text) — on
+// its executor's kind and configuration. Equal trees driven by different
+// strategies, or by one strategy under different settings such as an
+// adaptive gap threshold, execute differently, so they must not share
+// executions.
+func (s *Service) internKey(r *registered, of string) string {
+	return fmt.Sprintf("%#v\x00%s", s.executorFor(r), of)
 }
 
 // internLocked adds the query to its shape equivalence class under the
@@ -1019,22 +993,22 @@ func (s *Service) planFleet(lead []*registered, fleetSet []bool) *fleet.Plan {
 	start := time.Now()
 	fplan, reused := s.planner.PlanWeighted(sc.keys, sc.trees, sc.weights, sched.Warm(sc.warm))
 	err := fplan.Validate(sc.trees)
-	s.planNanos += time.Since(start).Nanoseconds()
+	s.ctr.PlanNanos += time.Since(start).Nanoseconds()
 	if err != nil {
 		// Defensive: an invalid joint plan falls back to per-query
 		// planning (phase 1b picks the queries up).
 		s.planner.Invalidate()
 		return nil
 	}
-	s.fleetPlans++
+	s.ctr.FleetPlans++
 	if reused {
-		s.fleetReuses++
+		s.ctr.FleetPlanReuses++
 	} else if fplan.Patched {
-		s.fleetPatched++
+		s.ctr.FleetPlanIncremental++
 	}
-	s.fleetExecs += int64(len(idx))
-	s.fleetExpected += fplan.Expected
-	s.indepExpected += fplan.IndependentExpected
+	s.ctr.FleetPlannedExecutions += int64(len(idx))
+	s.ctr.FleetExpectedCost += fplan.Expected
+	s.ctr.IndependentExpectedCost += fplan.IndependentExpected
 	if cap(sc.plans) < len(idx) {
 		sc.plans = make([]engine.Plan, len(idx))
 	}
@@ -1214,12 +1188,12 @@ func (s *Service) Tick() TickResult {
 					covering++
 				}
 			}
-			s.dupAvoided += int64(covering - 1)
+			s.ctr.DuplicatePullsAvoided += int64(covering - 1)
 			s.dupAvoidedK[k] += int64(covering - 1)
 		}
 		items, cost := s.cache.Prefetch(k, need[k])
-		s.batchItems += int64(items)
-		s.batchCost += cost
+		s.ctr.BatchedItems += int64(items)
+		s.ctr.BatchedCost += cost
 	}
 
 	acquireDur := time.Since(acquireStart)
@@ -1275,23 +1249,21 @@ func (s *Service) Tick() TickResult {
 			e.ID = r.id
 			e.Cost = 0
 			e.Shared = true
-			s.sharedExecs++
+			s.ctr.SharedExecutions++
 		}
 	}
 
 	for i, r := range due {
 		e := &out.Executions[i]
-		s.executions++
+		s.ctr.Executions++
 		if e.PlanReused {
-			s.planHits++
-		} else {
-			s.planMisses++
+			s.ctr.PlanCacheHits++
 		}
-		s.paidCost += e.Cost
-		s.expCost += e.ExpectedCost
-		s.evaluated += int64(e.Evaluated)
+		s.ctr.PaidCost += e.Cost
+		s.ctr.ExpectedCost += e.ExpectedCost
+		s.ctr.PredicatesEvaluated += int64(e.Evaluated)
 		if e.Strategy == engine.StrategyAdaptive {
-			s.adaptiveExecs++
+			s.ctr.AdaptiveExecutions++
 			r.m.AdaptiveExecutions++
 		}
 		r.m.Executions++
@@ -1472,12 +1444,16 @@ func (s *Service) QueryMetrics(id string) (QueryMetrics, error) {
 	return r.m.withRatio(), nil
 }
 
-// Metrics aggregates the whole fleet.
-type Metrics struct {
-	// Ticks is the number of time steps processed.
-	Ticks int64 `json:"ticks"`
-	// Queries is the number of currently registered queries.
-	Queries int `json:"queries"`
+// Counters is the additive part of the fleet snapshot: every field sums
+// across shard workers, so the sharded runtime's value is the sum of its
+// workers' values (see Add). Most fields are monotone counters;
+// DistinctShapes, ShapeSubscribers and TrackedPredicates are gauges that
+// add up as well, because twins never split across shards and every
+// worker has its own estimator. Metrics embeds it, and /metrics.prom
+// renders every field (see cmd/paotrserve/prom.go): a new counter is one
+// field here, its accumulation, one line in Add and one exposition
+// family.
+type Counters struct {
 	// Executions counts query executions across all ticks.
 	Executions int64 `json:"executions"`
 	// PaidCost is the total acquisition cost actually paid by the fleet;
@@ -1485,10 +1461,6 @@ type Metrics struct {
 	// is the shared-cache dividend.
 	PaidCost     float64 `json:"paid_cost"`
 	ExpectedCost float64 `json:"expected_cost"`
-	// RealizedOverExpected is PaidCost / ExpectedCost: how the fleet's
-	// realized acquisition spend compares to the planners' models (< 1 is
-	// the shared-cache dividend).
-	RealizedOverExpected float64 `json:"realized_over_expected"`
 	// AdaptiveExecutions counts executions that walked a decision tree
 	// instead of a fixed schedule (see engine.AdaptiveExecutor).
 	AdaptiveExecutions int64 `json:"adaptive_executions"`
@@ -1503,10 +1475,9 @@ type Metrics struct {
 	DuplicatePullsAvoided int64   `json:"duplicate_pulls_avoided"`
 	// PredicatesEvaluated counts predicate evaluations across the fleet.
 	PredicatesEvaluated int64 `json:"predicates_evaluated"`
-	// PlanCacheHits / PlanCacheHitRate report how often re-planning was
-	// skipped (see engine.WithReplanThreshold).
-	PlanCacheHits    int64   `json:"plan_cache_hits"`
-	PlanCacheHitRate float64 `json:"plan_cache_hit_rate"`
+	// PlanCacheHits counts executions that skipped re-planning (see
+	// engine.WithReplanThreshold).
+	PlanCacheHits int64 `json:"plan_cache_hits"`
 	// FleetPlans counts ticks planned jointly across queries and
 	// FleetPlanReuses the subset served from the fleet plan cache;
 	// FleetPlannedExecutions counts executions that ran a joint
@@ -1523,27 +1494,16 @@ type Metrics struct {
 	// FleetExpectedCost sums the joint planner's modelled fleet costs
 	// (every shared item priced once); IndependentExpectedCost sums what
 	// per-query planning would have modelled for the same workloads.
-	// FleetModelledSaving is their relative gap — the modelled dividend
-	// of planning the fleet as one workload.
 	FleetExpectedCost       float64 `json:"fleet_expected_cost"`
 	IndependentExpectedCost float64 `json:"independent_expected_cost"`
-	FleetModelledSaving     float64 `json:"fleet_modelled_saving"`
-	// ShapeFactoring is always true: cross-tenant shape factoring is
-	// unconditional (the field stays for existing readers). DistinctShapes
-	// counts the live shape equivalence classes (equal to Queries when no
-	// two queries share a shape) and ShapeSubscribers the registered
-	// identities interned into them; SharedExecutions counts executions
-	// served by fanning a leader's result out to a twin instead of
-	// re-evaluating the tree.
-	ShapeFactoring   bool  `json:"shape_factoring"`
+	// DistinctShapes counts the live shape equivalence classes (equal to
+	// the query count when no two queries share a shape) and
+	// ShapeSubscribers the registered identities interned into them;
+	// SharedExecutions counts executions served by fanning a leader's
+	// result out to a twin instead of re-evaluating the tree.
 	DistinctShapes   int   `json:"distinct_shapes"`
 	ShapeSubscribers int   `json:"shape_subscribers"`
 	SharedExecutions int64 `json:"shared_executions"`
-	// Estimator is always "windowed", the online adaptive estimator (see
-	// internal/adapt), and EstimatorWindow its sliding-window size; both
-	// stay for existing readers.
-	Estimator       string `json:"estimator"`
-	EstimatorWindow int    `json:"estimator_window,omitempty"`
 	// PredicateDetectorTrips / CostDetectorTrips count Page-Hinkley
 	// regime-shift detections on predicate probabilities and per-stream
 	// acquisition costs; ReplansForced counts the plan-cache evictions
@@ -1552,27 +1512,94 @@ type Metrics struct {
 	PredicateDetectorTrips int64 `json:"predicate_detector_trips"`
 	CostDetectorTrips      int64 `json:"cost_detector_trips"`
 	ReplansForced          int64 `json:"replans_forced"`
+	// TrackedPredicates is the number of predicates the windowed
+	// estimator tracks, the store planning reads; TraceEvictions counts
+	// predicates evicted to honour its cap (adapt.Config.MaxPredicates,
+	// default 4096).
+	TrackedPredicates int   `json:"tracked_predicates"`
+	TraceEvictions    int64 `json:"trace_evictions"`
+	// CacheRequested / CacheTransferred report shared acquisition-cache
+	// traffic: items asked for, and items actually acquired.
+	CacheRequested   int64 `json:"cache_requested"`
+	CacheTransferred int64 `json:"cache_transferred"`
+	// RelayHits counts L1 misses served from the fleet-global L2 relay
+	// instead of re-acquiring from the stream; RelaySavedSpend is the
+	// acquisition cost those hits avoided net of transfer prices.
+	// RelayPurchases counts the items acquired at full stream cost (once
+	// fleet-wide) and RelayTransferSpend the cost paid for relay
+	// transfers. All four are zero without an attached relay (see
+	// acquisition.ItemRelay).
+	RelayHits          int64   `json:"relay_hits,omitempty"`
+	RelaySavedSpend    float64 `json:"relay_saved_spend,omitempty"`
+	RelayPurchases     int64   `json:"relay_purchases,omitempty"`
+	RelayTransferSpend float64 `json:"relay_transfer_spend,omitempty"`
+}
+
+// Add sums o into c field by field. It is the only code that merges
+// counters: the sharded runtime adds its workers' snapshots with it.
+func (c *Counters) Add(o Counters) {
+	c.Executions += o.Executions
+	c.PaidCost += o.PaidCost
+	c.ExpectedCost += o.ExpectedCost
+	c.AdaptiveExecutions += o.AdaptiveExecutions
+	c.BatchedCost += o.BatchedCost
+	c.BatchedItems += o.BatchedItems
+	c.DuplicatePullsAvoided += o.DuplicatePullsAvoided
+	c.PredicatesEvaluated += o.PredicatesEvaluated
+	c.PlanCacheHits += o.PlanCacheHits
+	c.FleetPlans += o.FleetPlans
+	c.FleetPlanReuses += o.FleetPlanReuses
+	c.FleetPlannedExecutions += o.FleetPlannedExecutions
+	c.FleetPlanIncremental += o.FleetPlanIncremental
+	c.PlanNanos += o.PlanNanos
+	c.FleetExpectedCost += o.FleetExpectedCost
+	c.IndependentExpectedCost += o.IndependentExpectedCost
+	c.DistinctShapes += o.DistinctShapes
+	c.ShapeSubscribers += o.ShapeSubscribers
+	c.SharedExecutions += o.SharedExecutions
+	c.PredicateDetectorTrips += o.PredicateDetectorTrips
+	c.CostDetectorTrips += o.CostDetectorTrips
+	c.ReplansForced += o.ReplansForced
+	c.TrackedPredicates += o.TrackedPredicates
+	c.TraceEvictions += o.TraceEvictions
+	c.CacheRequested += o.CacheRequested
+	c.CacheTransferred += o.CacheTransferred
+	c.RelayHits += o.RelayHits
+	c.RelaySavedSpend += o.RelaySavedSpend
+	c.RelayPurchases += o.RelayPurchases
+	c.RelayTransferSpend += o.RelayTransferSpend
+}
+
+// Metrics aggregates the whole fleet.
+type Metrics struct {
+	// Ticks is the number of time steps processed.
+	Ticks int64 `json:"ticks"`
+	// Queries is the number of currently registered queries.
+	Queries int `json:"queries"`
+	Counters
+	// RealizedOverExpected is PaidCost / ExpectedCost: how the fleet's
+	// realized acquisition spend compares to the planners' models (< 1 is
+	// the shared-cache dividend). PlanCacheHitRate is PlanCacheHits /
+	// Executions. FleetModelledSaving is 1 - FleetExpectedCost /
+	// IndependentExpectedCost, the modelled dividend of planning the fleet
+	// as one workload. CacheHitRate is the fraction of requested items
+	// served without paying. setRatios derives all four.
+	RealizedOverExpected float64 `json:"realized_over_expected"`
+	PlanCacheHitRate     float64 `json:"plan_cache_hit_rate"`
+	FleetModelledSaving  float64 `json:"fleet_modelled_saving"`
+	CacheHitRate         float64 `json:"cache_hit_rate"`
+	// ShapeFactoring is always true: cross-tenant shape factoring is
+	// unconditional (the field stays for existing readers).
+	ShapeFactoring bool `json:"shape_factoring"`
+	// Estimator is always "windowed", the online adaptive estimator (see
+	// internal/adapt), and EstimatorWindow its sliding-window size; both
+	// stay for existing readers.
+	Estimator       string `json:"estimator"`
+	EstimatorWindow int    `json:"estimator_window,omitempty"`
 	// AvgCIWidth is the mean confidence-interval width over tracked
 	// predicates — the fleet's evidence gauge (small = estimates are
 	// well-backed; 1 = no evidence).
 	AvgCIWidth float64 `json:"avg_ci_width,omitempty"`
-	// TrackedPredicates is the number of distinct predicates in the trace
-	// store; TraceEvictions counts predicates evicted to honour its cap of
-	// 8192.
-	TrackedPredicates int   `json:"tracked_predicates"`
-	TraceEvictions    int64 `json:"trace_evictions"`
-	// CacheRequested / CacheTransferred / CacheHitRate report shared
-	// acquisition-cache traffic: the fraction of requested items served
-	// without paying.
-	CacheRequested   int64   `json:"cache_requested"`
-	CacheTransferred int64   `json:"cache_transferred"`
-	CacheHitRate     float64 `json:"cache_hit_rate"`
-	// RelayHits counts L1 misses served from the fleet-global L2 relay
-	// instead of re-acquiring from the stream; RelaySavedSpend is the
-	// acquisition cost those hits avoided net of transfer prices (both
-	// zero without an attached relay; see acquisition.ItemRelay).
-	RelayHits       int64   `json:"relay_hits,omitempty"`
-	RelaySavedSpend float64 `json:"relay_saved_spend,omitempty"`
 	// TickLatency is the per-phase tick-latency picture (phase name ->
 	// histogram snapshot with p50/p90/p99 estimates; see internal/obs).
 	// On a plain service it is the service's own latency; the sharded
@@ -1609,14 +1636,10 @@ type Metrics struct {
 	CrossShardDuplicateTransfers int64   `json:"cross_shard_duplicate_transfers,omitempty"`
 	CrossShardDuplicateSpend     float64 `json:"cross_shard_duplicate_spend,omitempty"`
 	// RelayEnabled reports a fleet-global L2 relay across the shard
-	// caches; RelayTransferFrac its per-item transfer cost as a fraction
-	// of acquisition cost; RelayPurchases the items acquired at full
-	// stream cost (once fleet-wide); RelayTransferSpend the cost paid for
-	// relay transfers (see acquisition.ItemRelay).
-	RelayEnabled       bool    `json:"relay_enabled,omitempty"`
-	RelayTransferFrac  float64 `json:"relay_transfer_frac,omitempty"`
-	RelayPurchases     int64   `json:"relay_purchases,omitempty"`
-	RelayTransferSpend float64 `json:"relay_transfer_spend,omitempty"`
+	// caches and RelayTransferFrac its per-item transfer cost as a
+	// fraction of acquisition cost (see acquisition.ItemRelay).
+	RelayEnabled      bool    `json:"relay_enabled,omitempty"`
+	RelayTransferFrac float64 `json:"relay_transfer_frac,omitempty"`
 	// RelayJointExpectedCost prices the current placement with the relay:
 	// cross-shard duplicated expected spend paid at RelayTransferFrac
 	// instead of in full; SharingLostPctRelay is the corresponding
@@ -1722,53 +1745,27 @@ type StreamMetrics struct {
 func (s *Service) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cs := s.cache.Stats()
+	c := s.ctr
+	// Batched acquisitions are paid by the fleet on the queries' behalf:
+	// include them so PaidCost is everything the cache spent.
+	c.PaidCost += c.BatchedCost
+	st := s.cache.Stats()
+	c.CacheRequested, c.CacheTransferred = st.Requested, st.Transferred
+	c.DistinctShapes = len(s.classList)
+	for _, cl := range s.classList {
+		c.ShapeSubscribers += len(cl.members)
+	}
+	c.PredicateDetectorTrips, c.CostDetectorTrips = s.ad.Trips()
+	c.ReplansForced = s.eng.ReplansForced() + s.fleetInvalidated.Load()
+	c.TrackedPredicates = s.ad.Len()
+	c.TraceEvictions = s.ad.Evictions()
 	m := Metrics{
-		Ticks:      s.tick,
-		Queries:    len(s.queries),
-		Executions: s.executions,
-		// Batched acquisitions are paid by the fleet on the queries'
-		// behalf: include them so PaidCost is everything the cache spent.
-		PaidCost:                s.paidCost + s.batchCost,
-		ExpectedCost:            s.expCost,
-		AdaptiveExecutions:      s.adaptiveExecs,
-		BatchedCost:             s.batchCost,
-		BatchedItems:            s.batchItems,
-		DuplicatePullsAvoided:   s.dupAvoided,
-		PredicatesEvaluated:     s.evaluated,
-		PlanCacheHits:           s.planHits,
-		FleetPlans:              s.fleetPlans,
-		FleetPlanReuses:         s.fleetReuses,
-		FleetPlannedExecutions:  s.fleetExecs,
-		FleetPlanIncremental:    s.fleetPatched,
-		PlanNanos:               s.planNanos,
-		FleetExpectedCost:       s.fleetExpected,
-		IndependentExpectedCost: s.indepExpected,
-		CacheRequested:          cs.Requested,
-		CacheTransferred:        cs.Transferred,
-		CacheHitRate:            cs.HitRate(),
-		ShapeFactoring:          true,
-		DistinctShapes:          len(s.classList),
-		SharedExecutions:        s.sharedExecs,
-		Estimator:               s.ad.Name(),
-		EstimatorWindow:         s.ad.Window(),
-		AvgCIWidth:              s.ad.AvgCIWidth(),
-		ReplansForced:           s.eng.ReplansForced() + s.fleetInvalidated.Load(),
-		TrackedPredicates:       s.eng.Traces().Len(),
-		TraceEvictions:          s.eng.Traces().Evictions(),
-	}
-	m.PredicateDetectorTrips, m.CostDetectorTrips = s.ad.Trips()
-	for _, c := range s.classList {
-		m.ShapeSubscribers += len(c.members)
-	}
-	if m.ExpectedCost > 0 {
-		m.RealizedOverExpected = m.PaidCost / m.ExpectedCost
-	}
-	if s.planHits+s.planMisses > 0 {
-		m.PlanCacheHitRate = float64(s.planHits) / float64(s.planHits+s.planMisses)
-	}
-	if m.IndependentExpectedCost > 0 {
-		m.FleetModelledSaving = 1 - m.FleetExpectedCost/m.IndependentExpectedCost
+		Ticks:           s.tick,
+		Queries:         len(s.queries),
+		ShapeFactoring:  true,
+		Estimator:       s.ad.Name(),
+		EstimatorWindow: s.ad.Window(),
+		AvgCIWidth:      s.ad.AvgCIWidth(),
 	}
 	learned := map[int]adapt.StreamCostState{}
 	for _, cs := range s.ad.StreamCosts() {
@@ -1788,9 +1785,29 @@ func (s *Service) Metrics() Metrics {
 			RelayHits:             ss.RelayHits,
 			RelaySavedSpend:       ss.RelaySaved,
 		})
-		m.RelayHits += ss.RelayHits
-		m.RelaySavedSpend += ss.RelaySaved
+		c.RelayHits += ss.RelayHits
+		c.RelaySavedSpend += ss.RelaySaved
 	}
+	m.Counters = c
+	m.setRatios()
 	m.TickLatency = s.hists.Snapshot()
 	return m
+}
+
+// setRatios derives the fleet ratios from the counters (zero while a
+// denominator is). Both runtimes call it on their final counters, so
+// each ratio has one formula.
+func (m *Metrics) setRatios() {
+	if m.ExpectedCost > 0 {
+		m.RealizedOverExpected = m.PaidCost / m.ExpectedCost
+	}
+	if m.Executions > 0 {
+		m.PlanCacheHitRate = float64(m.PlanCacheHits) / float64(m.Executions)
+	}
+	if m.IndependentExpectedCost > 0 {
+		m.FleetModelledSaving = 1 - m.FleetExpectedCost/m.IndependentExpectedCost
+	}
+	if m.CacheRequested > 0 {
+		m.CacheHitRate = 1 - float64(m.CacheTransferred)/float64(m.CacheRequested)
+	}
 }

@@ -352,3 +352,41 @@ func TestShapeChurnStress(t *testing.T) {
 		t.Errorf("ShapeSubscribers = %d after churn, want %d", m.ShapeSubscribers, cfg.Tenants)
 	}
 }
+
+// TestAdaptiveTwinsSplitByGapThreshold: adaptive executors with different
+// gap thresholds execute one text differently — a negative gap always
+// walks the decision tree, a 1e9 gap never does — so their twins intern
+// into two classes, register and quote alike, and neither serves the
+// other's verdict.
+func TestAdaptiveTwinsSplitByGapThreshold(t *testing.T) {
+	const text = "AVG(heart-rate,5) > 100 AND accelerometer < 12"
+	svc := New(testRegistry(3), WithWorkers(1))
+	tree := WithQueryExecutor(engine.AdaptiveExecutor{GapThreshold: -1})
+	never := WithQueryExecutor(engine.AdaptiveExecutor{GapThreshold: 1e9})
+	if err := svc.Register("tree", text, tree); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Register("linear", text, never); err != nil {
+		t.Fatal(err)
+	}
+	if m := svc.Metrics(); m.DistinctShapes != 2 {
+		t.Errorf("distinct shapes = %d, want 2", m.DistinctShapes)
+	}
+	for _, tr := range svc.Run(5) {
+		for _, e := range tr.Executions {
+			want := engine.StrategyAdaptive
+			if e.ID == "linear" {
+				want = engine.StrategyLinear
+			}
+			if e.Strategy != want || e.Shared {
+				t.Errorf("tick %d %s: strategy %q shared %v, want %q unshared", tr.Tick, e.ID, e.Strategy, e.Shared, want)
+			}
+		}
+	}
+	if q, err := svc.QuoteRegister("twin", text, never); err != nil || !q.SharedShape {
+		t.Errorf("quote of a 1e9-gap twin = %+v, %v; want a shared shape", q, err)
+	}
+	if q, err := svc.QuoteRegister("other", text, WithQueryExecutor(engine.AdaptiveExecutor{GapThreshold: 0.5})); err != nil || q.SharedShape {
+		t.Errorf("quote under a third gap threshold = %+v, %v; want a new shape", q, err)
+	}
+}

@@ -227,9 +227,6 @@ func (sh *Sharded) Shards() int { return sh.k }
 // in tests); nil when worker i is remote.
 func (sh *Sharded) Shard(i int) *Service { return sh.locals[i] }
 
-// Relay exposes the fleet-global L2 item relay (nil unless enabled).
-func (sh *Sharded) Relay() *acquisition.ItemRelay { return sh.relay }
-
 // shardConfig is the partitioner configuration of this runtime.
 func (sh *Sharded) shardConfig() shard.Config {
 	return shard.Config{Shards: sh.k, RelayFrac: sh.relayFrac}
@@ -641,12 +638,12 @@ func (sh *Sharded) QueryMetrics(id string) (QueryMetrics, error) {
 	return sh.workers[owner].QueryMetrics(id)
 }
 
-// Metrics aggregates the whole fleet across shards: counters sum,
-// per-stream traffic sums by registry index, rates are recomputed from
-// the summed counters, and the sharded runtime adds its own picture —
-// per-shard summaries, the modelled sharing lost to partitioning, the
-// realized cross-shard duplicate traffic from the fleet ledger, and the
-// relay's recovered-sharing counters when enabled.
+// Metrics aggregates the whole fleet across shards: counters sum (see
+// Counters.Add), per-stream traffic sums by registry index, ratios are
+// derived from the summed counters, and the sharded runtime adds its
+// own picture — per-shard summaries, the modelled sharing lost to
+// partitioning, the realized cross-shard duplicate traffic from the
+// fleet ledger, and the relay's recovered-sharing counters when enabled.
 func (sh *Sharded) Metrics() Metrics {
 	if sh.k == 1 {
 		m := sh.workers[0].Metrics()
@@ -661,9 +658,10 @@ func (sh *Sharded) Metrics() Metrics {
 		per[i] = w.Metrics()
 	}
 	m := Metrics{
-		Ticks:   sh.tick,
-		Queries: len(sh.regOrder),
-		Shards:  sh.k,
+		Ticks:          sh.tick,
+		Queries:        len(sh.regOrder),
+		ShapeFactoring: true,
+		Shards:         sh.k,
 
 		Repartitions:            sh.repartitions,
 		QueriesMoved:            sh.moved,
@@ -672,46 +670,14 @@ func (sh *Sharded) Metrics() Metrics {
 		SharingLostPct:          sh.loss.LostPct,
 	}
 	perStream := make([]StreamMetrics, sh.reg.Len())
-	var ciWeight float64
 	for i, pm := range per {
-		m.Executions += pm.Executions
-		m.PaidCost += pm.PaidCost
-		m.ExpectedCost += pm.ExpectedCost
-		m.AdaptiveExecutions += pm.AdaptiveExecutions
-		m.BatchedCost += pm.BatchedCost
-		m.BatchedItems += pm.BatchedItems
-		m.DuplicatePullsAvoided += pm.DuplicatePullsAvoided
-		m.PredicatesEvaluated += pm.PredicatesEvaluated
-		m.PlanCacheHits += pm.PlanCacheHits
-		m.FleetPlans += pm.FleetPlans
-		m.FleetPlanReuses += pm.FleetPlanReuses
-		m.FleetPlannedExecutions += pm.FleetPlannedExecutions
-		m.FleetPlanIncremental += pm.FleetPlanIncremental
-		m.PlanNanos += pm.PlanNanos
-		m.FleetExpectedCost += pm.FleetExpectedCost
-		m.IndependentExpectedCost += pm.IndependentExpectedCost
-		m.PredicateDetectorTrips += pm.PredicateDetectorTrips
-		m.CostDetectorTrips += pm.CostDetectorTrips
-		m.ReplansForced += pm.ReplansForced
-		m.TrackedPredicates += pm.TrackedPredicates
-		m.TraceEvictions += pm.TraceEvictions
-		m.AvgCIWidth += pm.AvgCIWidth * float64(pm.TrackedPredicates)
-		ciWeight += float64(pm.TrackedPredicates)
-		m.CacheRequested += pm.CacheRequested
-		m.CacheTransferred += pm.CacheTransferred
-		// Twins are never split across shards, so per-shard distinct
-		// shapes sum to the fleet's distinct shapes.
-		m.ShapeFactoring = m.ShapeFactoring || pm.ShapeFactoring
-		m.DistinctShapes += pm.DistinctShapes
-		m.ShapeSubscribers += pm.ShapeSubscribers
-		m.SharedExecutions += pm.SharedExecutions
-		m.RelayHits += pm.RelayHits
-		m.RelaySavedSpend += pm.RelaySavedSpend
 		// Remote workers overlay their relay-mirror purchase counters on
-		// their metrics (see remote.go); in-process workers leave these
+		// their metrics (see remote.go); in-process workers leave them
 		// zero and the coordinator's own relay supplies them below.
-		m.RelayPurchases += pm.RelayPurchases
-		m.RelayTransferSpend += pm.RelayTransferSpend
+		m.Counters.Add(pm.Counters)
+		// Each worker's CI width averages over its own estimator's
+		// predicates; weight it by their count.
+		m.AvgCIWidth += pm.AvgCIWidth * float64(pm.TrackedPredicates)
 		m.Estimator = pm.Estimator
 		m.EstimatorWindow = pm.EstimatorWindow
 		for _, ps := range pm.PerStream {
@@ -765,22 +731,8 @@ func (sh *Sharded) Metrics() Metrics {
 		}
 	}
 	m.PerStream = perStream
-	if m.ExpectedCost > 0 {
-		m.RealizedOverExpected = m.PaidCost / m.ExpectedCost
-	}
-	// Every execution is either a plan-cache hit or a miss, so the hit
-	// rate is hits over executions.
-	if m.Executions > 0 {
-		m.PlanCacheHitRate = float64(m.PlanCacheHits) / float64(m.Executions)
-	}
-	if m.IndependentExpectedCost > 0 {
-		m.FleetModelledSaving = 1 - m.FleetExpectedCost/m.IndependentExpectedCost
-	}
-	if m.CacheRequested > 0 {
-		m.CacheHitRate = 1 - float64(m.CacheTransferred)/float64(m.CacheRequested)
-	}
-	if ciWeight > 0 {
-		m.AvgCIWidth /= ciWeight
+	if m.TrackedPredicates > 0 {
+		m.AvgCIWidth /= float64(m.TrackedPredicates)
 	}
 	if sh.ledger != nil {
 		ls := sh.ledger.Stats()
@@ -801,5 +753,6 @@ func (sh *Sharded) Metrics() Metrics {
 		m.RelayJointExpectedCost = rl.RelayK
 		m.SharingLostPctRelay = rl.RelayLostPct
 	}
+	m.setRatios()
 	return m
 }

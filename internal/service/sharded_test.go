@@ -320,7 +320,7 @@ func TestShardedManualRepartitionMigratesEvidence(t *testing.T) {
 	pred := ""
 	{
 		ownerBefore := assign[someID]
-		_, keys, ok := sh.Shard(ownerBefore).treeAndKeys(someID)
+		_, keys, ok := sh.Shard(ownerBefore).ProfileTree(someID)
 		if !ok || len(keys) == 0 {
 			t.Fatal("query has no predicate keys")
 		}
