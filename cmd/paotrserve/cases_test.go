@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"strings"
 	"testing"
@@ -132,27 +133,7 @@ func remoteRelayCase() e2eCase {
 		relayFrac: 0.1,
 	}
 	var endpoints []string
-	server := func(t *testing.T) *httptest.Server {
-		t.Helper()
-		endpoints = nil
-		for i := 0; i < 2; i++ {
-			h, err := newWorkerHandler(cfg, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ws := httptest.NewServer(h)
-			t.Cleanup(ws.Close)
-			endpoints = append(endpoints, ws.URL)
-		}
-		svc, err := newCoordinator(cfg, endpoints)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(newServer(svc, -1))
-		t.Cleanup(srv.Close)
-		return srv
-	}
-	return e2eCase{caseID: "E00702", name: "remote workers and coordinator restart", server: server, steps: []e2eStep{
+	return e2eCase{caseID: "E00702", name: "remote workers and coordinator restart", server: remoteServer(cfg, &endpoints), steps: []e2eStep{
 		{"POST", "/queries", `{"id":"t0","query":"AVG(heart-rate,5) > 100 OR spo2 < 92"}`, http.StatusCreated, nil},
 		{"POST", "/queries", `{"id":"t1","query":"AVG(heart-rate,5) > 95 OR accelerometer > 15"}`, http.StatusCreated, nil},
 		{"POST", "/queries", `{"id":"t2","query":"heart-rate > 110 OR gps-speed > 1.5"}`, http.StatusCreated, nil},
@@ -188,6 +169,97 @@ func remoteRelayCase() e2eCase {
 					if e.Err != "" {
 						t.Errorf("restarted coordinator execution %s: %s", e.ID, e.Err)
 					}
+				}
+			}},
+	}}
+}
+
+// remoteServer starts two `paotrserve -worker` handlers behind a `-join`
+// coordinator and records the workers' base URLs in *endpoints, so case
+// steps can restart the coordinator or read a worker directly.
+func remoteServer(cfg serviceConfig, endpoints *[]string) func(t *testing.T) *httptest.Server {
+	return func(t *testing.T) *httptest.Server {
+		t.Helper()
+		*endpoints = nil
+		for i := 0; i < 2; i++ {
+			h, err := newWorkerHandler(cfg, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws := httptest.NewServer(h)
+			t.Cleanup(ws.Close)
+			*endpoints = append(*endpoints, ws.URL)
+		}
+		svc, err := newCoordinator(cfg, *endpoints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(newServer(svc, -1))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+}
+
+// remoteIDEscapeCase is E01101: query ids holding URL syntax ("/" and
+// "?" here) still address exactly their query through a `-join`
+// coordinator. Both queries read back their own results, and
+// deleting "t/a?b" removes it from the coordinator and its worker while
+// "t/a" keeps serving results.
+func remoteIDEscapeCase() e2eCase {
+	cfg := serviceConfig{seed: 1, workers: 2, replan: 0.02, executor: "linear"}
+	var endpoints []string
+	odd := url.PathEscape("t/a?b")
+	results := func(id string, n int) func(t *testing.T, body []byte) {
+		return func(t *testing.T, body []byte) {
+			var res []service.Execution
+			mustDecode(t, body, &res)
+			if len(res) != n {
+				t.Fatalf("results of %q: %d executions, want %d", id, len(res), n)
+			}
+			for _, e := range res {
+				if e.ID != id || e.Err != "" {
+					t.Errorf("results of %q hold execution %+v", id, e)
+				}
+			}
+		}
+	}
+	return e2eCase{caseID: "E01101", name: "escaped query ids through remote workers", server: remoteServer(cfg, &endpoints), steps: []e2eStep{
+		{"POST", "/queries", `{"id":"t/a","query":"AVG(heart-rate,5) > 100 OR spo2 < 92"}`, http.StatusCreated, nil},
+		{"POST", "/queries", `{"id":"t/a?b","query":"heart-rate > 110 OR gps-speed > 1.5"}`, http.StatusCreated, nil},
+		{"POST", "/tick", `{"steps":3}`, http.StatusOK, nil},
+		{"GET", "/results/t/a?n=2", "", http.StatusOK, results("t/a", 2)},
+		{"GET", "/results/" + odd + "?n=2", "", http.StatusOK, results("t/a?b", 2)},
+		{"DELETE", "/queries/" + odd, "", http.StatusOK, nil},
+		{"POST", "/tick", `{"steps":1}`, http.StatusOK, nil},
+		{"GET", "/results/t/a?n=4", "", http.StatusOK, results("t/a", 4)},
+		{"GET", "/results/" + odd, "", http.StatusNotFound, wantErrorBody},
+		{"GET", "/queries", "", http.StatusOK,
+			func(t *testing.T, body []byte) {
+				var rows []service.QueryMetrics
+				mustDecode(t, body, &rows)
+				if len(rows) != 1 || rows[0].ID != "t/a" {
+					t.Errorf("coordinator queries = %+v, want only t/a", rows)
+				}
+				var onWorkers []string
+				for _, ep := range endpoints {
+					resp, err := http.Get(ep + "/worker/queries")
+					if err != nil {
+						t.Fatal(err)
+					}
+					var regs []struct {
+						ID string `json:"id"`
+					}
+					err = json.NewDecoder(resp.Body).Decode(&regs)
+					resp.Body.Close()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, r := range regs {
+						onWorkers = append(onWorkers, r.ID)
+					}
+				}
+				if len(onWorkers) != 1 || onWorkers[0] != "t/a" {
+					t.Errorf("worker queries = %q, want only t/a", onWorkers)
 				}
 			}},
 	}}
@@ -904,7 +976,8 @@ func e2eCases() []e2eCase {
 		}},
 	}
 	cases = append(cases, obsCases()...)
-	return append(cases, admitCases()...)
+	cases = append(cases, admitCases()...)
+	return append(cases, remoteIDEscapeCase())
 }
 
 func mustDecode(t *testing.T, body []byte, out any) {

@@ -619,16 +619,3 @@ func (c *Cache) ResetAccounting() {
 		c.relaySaved[k] = 0
 	}
 }
-
-// RelayTraffic totals the relay counters across streams: hits served from
-// the fleet L2 relay and the acquisition cost they avoided net of
-// transfer prices. Both are zero without an attached relay.
-func (c *Cache) RelayTraffic() (hits int64, saved float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k := range c.relayHits {
-		hits += c.relayHits[k]
-		saved += c.relaySaved[k]
-	}
-	return hits, saved
-}

@@ -17,9 +17,8 @@
 //     from observed pull costs instead of being a static constant;
 //   - two-sided Page-Hinkley change detectors per predicate and per
 //     stream, which emit targeted invalidation events on a sustained
-//     shift — subscribers (the engine's plan caches, the service's fleet
-//     planner) evict exactly the affected plans instead of waiting for
-//     passive drift checks.
+//     shift — a subscriber (the service, per shape class) evicts exactly
+//     the affected plans instead of waiting for passive drift checks.
 //
 // Windowed implements trace.Estimator, so it plugs into the engine in
 // place of the cumulative store. All methods are safe for concurrent use;
@@ -481,18 +480,6 @@ func (w *Windowed) ImportPredicates(snaps []PredicateSnapshot) {
 		w.preds[snap.Pred] = st
 		w.evictLocked()
 	}
-}
-
-// Tracks returns the EWMA fast and slow probability tracks of the
-// predicate (both the prior for an unseen predicate).
-func (w *Windowed) Tracks(pred string) (fast, slow float64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	st := w.preds[pred]
-	if st == nil {
-		return w.cfg.PriorProb, w.cfg.PriorProb
-	}
-	return st.fast, st.slow
 }
 
 // ObserveCost feeds one realized acquisition observation for a stream:

@@ -51,80 +51,6 @@ func TestWithEstimatorDrivesPlanning(t *testing.T) {
 	}
 }
 
-// TestDetectorTripEvictsExactlyAffectedPlans: a predicate-level detector
-// trip must drop the cached plans of queries referencing that predicate
-// and leave every other plan cache untouched.
-func TestDetectorTripEvictsExactlyAffectedPlans(t *testing.T) {
-	ad := adapt.NewWindowed(adapt.Config{})
-	// replanEps 1 tolerates any probability drift, so only targeted
-	// invalidation can force a re-plan.
-	e := New(adaptRegistry(t), WithEstimator(ad), WithReplanThreshold(1))
-	q1, err := e.Compile("c1 > 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := e.Compile("c2 > 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := q1.NewCache()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cache.Retain("q2", q2.Windows()); err != nil {
-		t.Fatal(err)
-	}
-	cache.Advance(1)
-	for _, q := range []*Query{q1, q2} {
-		if _, err := q.Execute(cache); err != nil {
-			t.Fatal(err)
-		}
-		// The execution warmed the cache, so plan once more at the new
-		// warm state; the plan after that must be a cache hit.
-		if _, err := q.Plan(cache); err != nil {
-			t.Fatal(err)
-		}
-		if p, err := q.Plan(cache); err != nil || !p.Reused {
-			t.Fatalf("warm-up plan not cached: %+v, %v", p, err)
-		}
-	}
-	// Drive q1's predicate through a 1→0 regime shift until the detector
-	// trips (recording directly, as an execution stream would).
-	key := q1.Preds[0].P.String()
-	for i := 0; i < 40; i++ {
-		ad.Record(key, true)
-	}
-	before := e.ReplansForced()
-	for i := 0; i < 200; i++ {
-		ad.Record(key, false)
-		if e.ReplansForced() > before {
-			break
-		}
-	}
-	if e.ReplansForced() == before {
-		t.Fatal("detector never tripped on a 1→0 shift")
-	}
-	p1, err := q1.Plan(cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1.Reused {
-		t.Error("q1 reused its plan after a detector trip on its predicate")
-	}
-	p2, err := q2.Plan(cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p2.Reused {
-		t.Error("q2's plan was evicted by a trip on an unrelated predicate")
-	}
-	// Forgetting a query detaches it from future invalidation.
-	e.Forget(q1)
-	if n := e.InvalidatePredicate(key); n != 0 {
-		t.Errorf("forgotten query still invalidated (%d)", n)
-	}
-}
-
 // TestLearnedCostsRepriceTrees: once the cost source has observations,
 // plan-time stream costs come from it instead of the static registry
 // models.

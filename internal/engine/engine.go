@@ -7,7 +7,12 @@
 // leaves.
 //
 // Every execution feeds outcomes back into the estimator and re-plans,
-// which is the adaptive behaviour of Lim, Misra and Mo [4].
+// which is the adaptive behaviour of Lim, Misra and Mo [4]. Each compiled
+// query caches its own last plan and reuses it while its fingerprint
+// holds; the engine keeps no registry of compiled queries, so a
+// multi-query owner maps detector trips to plans itself (the service
+// does so per shape class) and drops a cached plan with
+// Query.InvalidatePlan.
 package engine
 
 import (
@@ -15,10 +20,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"paotr/internal/acquisition"
-	"paotr/internal/adapt"
 	"paotr/internal/andtree"
 	"paotr/internal/dnf"
 	"paotr/internal/parser"
@@ -30,10 +33,6 @@ import (
 
 // Planner builds a schedule for a DNF tree with a cold cache.
 type Planner func(*query.Tree) sched.Schedule
-
-// WarmPlanner builds a schedule given the device cache state, pricing
-// already-held items as free.
-type WarmPlanner func(*query.Tree, sched.Warm) sched.Schedule
 
 // DefaultPlanner uses the paper's best heuristic (AND-ordered, increasing
 // C/p, dynamic) for DNF trees and the optimal Algorithm 1 for AND-trees.
@@ -59,10 +58,9 @@ func DefaultWarmPlanner(t *query.Tree, w sched.Warm) sched.Schedule {
 // compiled queries are safe for concurrent use: many queries may plan and
 // execute simultaneously against a shared acquisition cache.
 type Engine struct {
-	reg      *stream.Registry
-	traces   *trace.Store
-	plan     Planner     // set by WithPlanner; overrides warm planning
-	planWarm WarmPlanner // default planning path
+	reg    *stream.Registry
+	traces *trace.Store
+	plan   Planner // set by WithPlanner; overrides DefaultWarmPlanner
 	// est is the probability estimator planners consult and realized
 	// outcomes are recorded into (default: the cumulative trace store
 	// itself; see WithEstimator).
@@ -76,22 +74,6 @@ type Engine struct {
 	// 0 (the default) reuses only on an exact fingerprint match; negative
 	// disables plan reuse entirely.
 	replanEps float64
-
-	// qmu guards queries, the compiled queries subscribed to targeted
-	// plan invalidation (detector events evict exactly the plans whose
-	// fingerprints reference the shifted predicate or stream). Queries
-	// are only retained when the estimator actually emits detector
-	// events (watchPlans), so plain engines keep Compile free of
-	// engine-side retention; long-lived multi-query owners release
-	// retained queries with Forget.
-	watchPlans bool
-	qmu        sync.Mutex
-	queries    map[*Query]struct{}
-	// replansForced counts plan-cache evictions driven by detector
-	// events; invalHook, when set, additionally reports each forced
-	// invalidation (see SetInvalidationHook).
-	replansForced atomic.Int64
-	invalHook     func(kind, pred string, stream, dropped int)
 }
 
 // CostSource supplies learned per-item acquisition costs by registry
@@ -108,18 +90,10 @@ type Option func(*Engine)
 // the engine then also reports cold-cache expected costs.
 func WithPlanner(p Planner) Option { return func(e *Engine) { e.plan = p } }
 
-// WithWarmPlanner overrides the cache-aware schedule planner.
-func WithWarmPlanner(p WarmPlanner) Option { return func(e *Engine) { e.planWarm = p } }
-
-// WithTraceStore supplies a pre-populated trace store.
-func WithTraceStore(s *trace.Store) Option { return func(e *Engine) { e.traces = s } }
-
 // WithEstimator installs a probability estimator in place of the
 // cumulative trace store: plan-time probabilities come from it and
 // realized outcomes are recorded into it alone, so the store (see
-// Traces) stays empty. When the estimator also implements adapt's
-// Subscribe, the engine subscribes to its detector events and evicts
-// exactly the affected cached plans on a trip.
+// Traces) stays empty.
 func WithEstimator(est trace.Estimator) Option { return func(e *Engine) { e.est = est } }
 
 // WithCostSource makes plan-time stream costs come from learned per-item
@@ -137,23 +111,12 @@ func WithReplanThreshold(eps float64) Option { return func(e *Engine) { e.replan
 
 // New creates an engine over the registry.
 func New(reg *stream.Registry, opts ...Option) *Engine {
-	e := &Engine{reg: reg, traces: trace.NewStore(), planWarm: DefaultWarmPlanner, queries: map[*Query]struct{}{}}
+	e := &Engine{reg: reg, traces: trace.NewStore()}
 	for _, o := range opts {
 		o(e)
 	}
 	if e.est == nil {
 		e.est = e.traces
-	}
-	if sub, ok := e.est.(interface{ Subscribe(func(adapt.Event)) }); ok {
-		e.watchPlans = true
-		sub.Subscribe(func(ev adapt.Event) {
-			switch ev.Kind {
-			case adapt.KindPredicate:
-				e.InvalidatePredicate(ev.Pred)
-			case adapt.KindStreamCost:
-				e.InvalidateStream(ev.Stream)
-			}
-		})
 	}
 	return e
 }
@@ -168,79 +131,6 @@ func (e *Engine) Estimator() trace.Estimator { return e.est }
 
 // record feeds one realized predicate outcome into the estimator.
 func (e *Engine) record(pred string, truth bool) { e.est.Record(pred, truth) }
-
-// SetInvalidationHook installs an observer of forced plan invalidations:
-// after a detector trip evicts cached plans, the hook receives the trip
-// kind (adapt.KindPredicate or adapt.KindStreamCost), the tripped
-// predicate key or stream index, and how many plans were dropped. The
-// hook is called with the engine's query lock held and must not call
-// back into the engine; a multi-query service journals the events (see
-// internal/obs).
-func (e *Engine) SetInvalidationHook(fn func(kind, pred string, stream, dropped int)) {
-	e.qmu.Lock()
-	defer e.qmu.Unlock()
-	e.invalHook = fn
-}
-
-// InvalidatePredicate drops the cached plans of every compiled query
-// referencing the predicate and returns how many plans were actually
-// evicted — the targeted reaction to a predicate-level detector trip,
-// instead of waiting for passive per-plan drift checks to notice.
-func (e *Engine) InvalidatePredicate(pred string) int {
-	e.qmu.Lock()
-	defer e.qmu.Unlock()
-	n := 0
-	for q := range e.queries {
-		for _, key := range q.predKeys {
-			if key == pred {
-				if q.InvalidatePlan() {
-					n++
-				}
-				break
-			}
-		}
-	}
-	e.replansForced.Add(int64(n))
-	if n > 0 && e.invalHook != nil {
-		e.invalHook(adapt.KindPredicate, pred, -1, n)
-	}
-	return n
-}
-
-// InvalidateStream drops the cached plans of every compiled query with a
-// leaf on registry stream k and returns how many plans were actually
-// evicted — the reaction to a stream-cost detector trip (probability
-// fingerprints would not notice a pure cost shift).
-func (e *Engine) InvalidateStream(k int) int {
-	e.qmu.Lock()
-	defer e.qmu.Unlock()
-	n := 0
-	for q := range e.queries {
-		if d := q.skeleton.StreamMaxItems(); k >= 0 && k < len(d) && d[k] > 0 {
-			if q.InvalidatePlan() {
-				n++
-			}
-		}
-	}
-	e.replansForced.Add(int64(n))
-	if n > 0 && e.invalHook != nil {
-		e.invalHook(adapt.KindStreamCost, "", k, n)
-	}
-	return n
-}
-
-// ReplansForced returns how many plan-cache evictions detector events
-// have driven.
-func (e *Engine) ReplansForced() int64 { return e.replansForced.Load() }
-
-// Forget detaches a compiled query from targeted invalidation (a
-// multi-query service calls it on unregister, so the engine does not
-// accumulate dead queries).
-func (e *Engine) Forget(q *Query) {
-	e.qmu.Lock()
-	defer e.qmu.Unlock()
-	delete(e.queries, q)
-}
 
 // ReplanThreshold returns the plan-cache drift threshold (see
 // WithReplanThreshold), so schedulers layering their own plan caches on
@@ -330,11 +220,6 @@ func (e *Engine) Compile(text string) (*Query, error) {
 	}
 	q.shape = tree.CanonicalShape(annot)
 	q.shapeHash = query.ShapeHash(q.shape)
-	if e.watchPlans {
-		e.qmu.Lock()
-		e.queries[q] = struct{}{}
-		e.qmu.Unlock()
-	}
 	return q, nil
 }
 
@@ -504,7 +389,7 @@ func (q *Query) Plan(cache *acquisition.Cache) (*Plan, error) {
 	q.mu.Lock()
 	prev := q.last
 	q.mu.Unlock()
-	if prev != nil && q.engine.replanEps >= 0 && warmEqual(prev.warm, warm) {
+	if prev != nil && q.engine.replanEps >= 0 && prev.warm.Equal(warm) {
 		drift := maxDrift(prev.probs, probs)
 		if cd := maxRelCostDrift(prev.costs, costs); cd > drift {
 			drift = cd
@@ -536,7 +421,7 @@ func (q *Query) Plan(cache *acquisition.Cache) (*Plan, error) {
 		s = q.engine.plan(t)
 		expected = sched.Cost(t, s)
 	} else {
-		s = q.engine.planWarm(t, warm)
+		s = DefaultWarmPlanner(t, warm)
 		expected = sched.CostWarm(t, s, warm)
 	}
 	if err := s.Validate(t); err != nil {
@@ -573,25 +458,6 @@ func (q *Query) InvalidatePlan() bool {
 	q.last = nil
 	q.lastAdaptive = nil
 	return had
-}
-
-// warmEqual reports whether two warm snapshots describe the same cache
-// state (row lengths are fixed per query, so elementwise compare).
-func warmEqual(a, b sched.Warm) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if len(a[k]) != len(b[k]) {
-			return false
-		}
-		for t := range a[k] {
-			if a[k][t] != b[k][t] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // maxRelCostDrift returns the largest relative per-stream cost change

@@ -32,31 +32,21 @@ const DefaultGapThreshold = 0.02
 // the modelled non-linear advantage is not trustworthy before that.
 const CIGateFactor = 0.5
 
-// Executor is a pluggable execution strategy for compiled queries. Prepare
-// plans (or reuses a cached plan for) one execution against the cache's
-// current state; the returned Prepared runs it. Splitting the two lets a
-// multi-query scheduler plan every due query first, coalesce their opening
-// acquisitions, and only then execute (see service.Tick).
+// Executor names the execution strategy a runtime runs a compiled query
+// with. It is sealed: the values LinearExecutor and AdaptiveExecutor are
+// its only implementations (pass the values, not pointers to them), so a
+// runtime dispatches on the concrete type. A linear query runs a fixed
+// schedule (Plan and ExecutePlan, or a schedule from a joint fleet plan),
+// an adaptive one a decision tree (PlanAdaptive and ExecuteAdaptivePlan).
+// Planning and execution are separate calls so a multi-query scheduler
+// can plan every due query first, coalesce their opening acquisitions,
+// and only then execute (see service.Tick).
 type Executor interface {
 	// Name is the strategy kind the executor aims for ("linear",
 	// "adaptive"); individual executions may still fall back (see
 	// Result.Strategy).
 	Name() string
-	// Prepare builds or reuses a plan for the query at the cache's current
-	// state.
-	Prepare(q *Query, cache *acquisition.Cache) (Prepared, error)
-}
-
-// Prepared is one planned query execution, bound to its query.
-type Prepared interface {
-	// FirstAcquisition returns the stream index and window of the first
-	// leaf the execution will evaluate. That acquisition happens
-	// unconditionally (the first leaf is never short-circuited), so a
-	// scheduler can pre-pull it without risk of waste. ok is false for
-	// empty plans.
-	FirstAcquisition() (stream int, items int, ok bool)
-	// Execute runs the plan against the cache it was prepared for.
-	Execute(cache *acquisition.Cache) (Result, error)
+	executor()
 }
 
 // LinearExecutor executes the planner's fixed schedule — the engine's
@@ -67,37 +57,14 @@ type LinearExecutor struct{}
 // Name reports "linear".
 func (LinearExecutor) Name() string { return StrategyLinear }
 
-// Prepare plans (or reuses) a schedule via Query.Plan.
-func (LinearExecutor) Prepare(q *Query, cache *acquisition.Cache) (Prepared, error) {
-	p, err := q.Plan(cache)
-	if err != nil {
-		return nil, err
-	}
-	return linearPrepared{q: q, p: p}, nil
-}
-
-type linearPrepared struct {
-	q *Query
-	p *Plan
-}
-
-func (lp linearPrepared) FirstAcquisition() (int, int, bool) {
-	if len(lp.p.Schedule) == 0 {
-		return 0, 0, false
-	}
-	l := lp.p.Tree.Leaves[lp.p.Schedule[0]]
-	return int(l.Stream), l.Items, true
-}
-
-func (lp linearPrepared) Execute(cache *acquisition.Cache) (Result, error) {
-	return lp.q.ExecutePlan(lp.p, cache)
-}
+func (LinearExecutor) executor() {}
 
 // AdaptiveExecutor executes an optimal non-linear (decision-tree)
 // strategy, computed by the strategy package's DP and cached with the same
-// fingerprint/drift machinery as linear plans. It falls back to the linear
-// schedule when the tree has more than strategy.MaxLeaves leaves (the DP
-// bound) or when the modelled linear/non-linear gap is below GapThreshold.
+// fingerprint/drift machinery as linear plans (see PlanAdaptive). It falls
+// back to the linear schedule when the tree has more than
+// strategy.MaxLeaves leaves (the DP bound) or when the modelled
+// linear/non-linear gap is below GapThreshold.
 type AdaptiveExecutor struct {
 	// GapThreshold is the minimum relative expected-cost gap
 	// (linear-nonlinear)/linear required to prefer the decision tree.
@@ -110,34 +77,7 @@ type AdaptiveExecutor struct {
 // Name reports "adaptive".
 func (AdaptiveExecutor) Name() string { return StrategyAdaptive }
 
-// Prepare plans (or reuses) an adaptive plan via Query.PlanAdaptive.
-func (x AdaptiveExecutor) Prepare(q *Query, cache *acquisition.Cache) (Prepared, error) {
-	ap, err := q.PlanAdaptive(cache, x.GapThreshold)
-	if err != nil {
-		return nil, err
-	}
-	return adaptivePrepared{q: q, ap: ap}, nil
-}
-
-type adaptivePrepared struct {
-	q  *Query
-	ap *AdaptivePlan
-}
-
-func (ap adaptivePrepared) FirstAcquisition() (int, int, bool) {
-	if root := ap.ap.Root; root != nil {
-		if root.Leaf < 0 {
-			return 0, 0, false
-		}
-		l := ap.ap.Tree.Leaves[root.Leaf]
-		return int(l.Stream), l.Items, true
-	}
-	return linearPrepared{q: ap.q, p: ap.ap.Linear}.FirstAcquisition()
-}
-
-func (ap adaptivePrepared) Execute(cache *acquisition.Cache) (Result, error) {
-	return ap.q.ExecuteAdaptivePlan(ap.ap, cache)
-}
+func (AdaptiveExecutor) executor() {}
 
 // AdaptivePlan is a ready-to-execute strategy for one query at one cache
 // state: either a decision tree (Root non-nil) or the linear fallback.
@@ -178,6 +118,25 @@ func (p *AdaptivePlan) Strategy() string {
 		return StrategyAdaptive
 	}
 	return StrategyLinear
+}
+
+// FirstAcquisition returns the stream index and window of the first leaf
+// the plan evaluates: the decision tree's root, or the first scheduled
+// leaf of the linear fallback. That acquisition happens unconditionally
+// (the first leaf is never short-circuited), so a scheduler can pre-pull
+// it without risk of waste. ok is false for an empty plan.
+func (p *AdaptivePlan) FirstAcquisition() (stream, items int, ok bool) {
+	j := -1
+	if p.Root != nil {
+		j = p.Root.Leaf
+	} else if len(p.Linear.Schedule) > 0 {
+		j = p.Linear.Schedule[0]
+	}
+	if j < 0 {
+		return 0, 0, false
+	}
+	l := p.Tree.Leaves[j]
+	return int(l.Stream), l.Items, true
 }
 
 // Gap returns the modelled relative cost gap (linear-nonlinear)/linear at
@@ -229,7 +188,7 @@ func (q *Query) PlanAdaptive(cache *acquisition.Cache, gapThreshold float64) (*A
 	q.mu.Lock()
 	prev := q.lastAdaptive
 	q.mu.Unlock()
-	if prev != nil && q.engine.replanEps >= 0 && warmEqual(prev.warm, warm) {
+	if prev != nil && q.engine.replanEps >= 0 && prev.warm.Equal(warm) {
 		drift := maxDrift(prev.probs, probs)
 		if cd := maxRelCostDrift(prev.costs, costs); cd > drift {
 			drift = cd

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"paotr/internal/acquisition"
 	"paotr/internal/strategy"
 	"paotr/internal/stream"
 )
@@ -27,7 +28,7 @@ func uniformRegistry(seed uint64, names []string, costs []float64) *stream.Regis
 // query's value.
 func TestAdaptiveMatchesLinearVerdicts(t *testing.T) {
 	text := strategy.UniformQueryText(strategy.CounterExample(), []string{"u0", "u1", "u2"})
-	run := func(x Executor) []bool {
+	run := func(execute func(*Query, *acquisition.Cache) (Result, error)) []bool {
 		reg := uniformRegistry(11, []string{"u0", "u1", "u2"}, []float64{1, 1, 1})
 		eng := New(reg)
 		q, err := eng.Compile(text)
@@ -41,11 +42,7 @@ func TestAdaptiveMatchesLinearVerdicts(t *testing.T) {
 		var out []bool
 		for i := 0; i < 200; i++ {
 			cache.Advance(1)
-			prep, err := x.Prepare(q, cache)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := prep.Execute(cache)
+			res, err := execute(q, cache)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,8 +50,14 @@ func TestAdaptiveMatchesLinearVerdicts(t *testing.T) {
 		}
 		return out
 	}
-	linear := run(LinearExecutor{})
-	adaptive := run(AdaptiveExecutor{GapThreshold: -1})
+	linear := run((*Query).Execute)
+	adaptive := run(func(q *Query, cache *acquisition.Cache) (Result, error) {
+		ap, err := q.PlanAdaptive(cache, -1)
+		if err != nil {
+			return Result{}, err
+		}
+		return q.ExecuteAdaptivePlan(ap, cache)
+	})
 	for i := range linear {
 		if linear[i] != adaptive[i] {
 			t.Fatalf("tick %d: linear=%v adaptive=%v", i, linear[i], adaptive[i])
@@ -199,14 +202,13 @@ func TestAdaptiveRealizedCostMatchesDP(t *testing.T) {
 	const trials = 4000
 	total := 0.0
 	var expected float64
-	x := AdaptiveExecutor{GapThreshold: -1}
 	for i := 0; i < trials; i++ {
 		cache.Advance(1)
-		prep, err := x.Prepare(q, cache)
+		ap, err := q.PlanAdaptive(cache, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := prep.Execute(cache)
+		res, err := q.ExecuteAdaptivePlan(ap, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,9 +226,9 @@ func TestAdaptiveRealizedCostMatchesDP(t *testing.T) {
 	t.Logf("realized mean %.4f vs DP expectation %.4f over %d trials", mean, expected, trials)
 }
 
-// TestPreparedManifest: a prepared execution's first acquisition is the
-// one it cannot skip: the first scheduled leaf of a linear plan, and the
-// root leaf of an adaptive plan that walks a decision tree.
+// TestPreparedManifest: an adaptive plan's first acquisition is the one
+// it cannot skip: the first scheduled leaf when the plan falls back to
+// the linear schedule, and the root leaf when it walks a decision tree.
 func TestPreparedManifest(t *testing.T) {
 	reg := uniformRegistry(3, []string{"u0", "u1"}, []float64{2, 5})
 	eng := New(reg)
@@ -239,23 +241,25 @@ func TestPreparedManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache.Advance(1)
-	plan, err := q.Plan(cache)
+
+	// A gap no decision tree clears: the linear fallback.
+	lin, err := q.PlanAdaptive(cache, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep, err := LinearExecutor{}.Prepare(q, cache)
-	if err != nil {
-		t.Fatal(err)
+	if lin.Root != nil {
+		t.Fatalf("1e9-gap plan walks a decision tree: %+v", lin)
 	}
-	first := plan.Tree.Leaves[plan.Schedule[0]]
-	k, d, ok := prep.FirstAcquisition()
+	first := lin.Tree.Leaves[lin.Linear.Schedule[0]]
+	k, d, ok := lin.FirstAcquisition()
 	if !ok || k != int(first.Stream) || d != first.Items {
 		t.Errorf("linear FirstAcquisition = (%d, %d, %v), want the first scheduled leaf (%d, %d)",
 			k, d, ok, first.Stream, first.Items)
 	}
 
-	// Adaptive plan with a forced decision tree: the root is the only
-	// unconditional acquisition.
+	// A forced decision tree: the root is the only unconditional
+	// acquisition. Drop the cached fallback so the DP's choice is fresh.
+	q.InvalidatePlan()
 	ap, err := q.PlanAdaptive(cache, -1)
 	if err != nil {
 		t.Fatal(err)
@@ -263,12 +267,8 @@ func TestPreparedManifest(t *testing.T) {
 	if ap.Root == nil || ap.Root.Leaf < 0 {
 		t.Fatalf("forced adaptive plan has no decision tree: %+v", ap)
 	}
-	aprep, err := AdaptiveExecutor{GapThreshold: -1}.Prepare(q, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
 	root := ap.Tree.Leaves[ap.Root.Leaf]
-	ak, ad, aok := aprep.FirstAcquisition()
+	ak, ad, aok := ap.FirstAcquisition()
 	if !aok || ak != int(root.Stream) || ad != root.Items {
 		t.Errorf("adaptive FirstAcquisition = (%d, %d, %v), want the decision tree's root (%d, %d)",
 			ak, ad, aok, root.Stream, root.Items)

@@ -539,7 +539,7 @@ func (pl *Planner) PlanWeighted(keys []string, trees []*query.Tree, weights []in
 			}
 		}
 	}
-	if ent != nil && stale == 0 && pl.Eps >= 0 && warmEqual(ent.warm, warm) {
+	if ent != nil && stale == 0 && pl.Eps >= 0 && ent.warm.Equal(warm) {
 		if drift := fleetDrift(ent.probs, ent.costs, trees); drift <= pl.Eps {
 			if drift == 0 {
 				return ent.plan, true
@@ -764,14 +764,6 @@ func (pl *Planner) Patches() int64 {
 	return pl.patched
 }
 
-// CachedPlans returns the number of joint plans currently cached,
-// exported as a gauge by the observability layer.
-func (pl *Planner) CachedPlans() int {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	return len(pl.entries)
-}
-
 // Invalidate drops all cached plans and stale marks and returns how many
 // entries were dropped.
 func (pl *Planner) Invalidate() int {
@@ -781,25 +773,6 @@ func (pl *Planner) Invalidate() int {
 	pl.entries = nil
 	pl.stale = nil
 	return n
-}
-
-// warmEqual reports whether two warm snapshots describe the same cache
-// state.
-func warmEqual(a, b sched.Warm) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if len(a[k]) != len(b[k]) {
-			return false
-		}
-		for t := range a[k] {
-			if a[k][t] != b[k][t] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // warmCompatible reports whether two warm snapshots agree wherever they

@@ -71,7 +71,7 @@ func (pl *Planner) expectedLocked(keys []string, trees []*query.Tree, weights []
 			}
 		}
 	}
-	if ent != nil && stale == 0 && pl.Eps >= 0 && warmEqual(ent.warm, warm) {
+	if ent != nil && stale == 0 && pl.Eps >= 0 && ent.warm.Equal(warm) {
 		if drift := fleetDrift(ent.probs, ent.costs, trees); drift <= pl.Eps {
 			if drift == 0 {
 				return ent.plan.Expected

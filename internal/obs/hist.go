@@ -183,7 +183,8 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 // Tick phases instrumented by the service: the per-tick latency
 // breakdown recorded into a TickHists.
 const (
-	// PhasePlan covers leader election and joint + per-query planning.
+	// PhasePlan covers leader election, joint planning and adaptive
+	// (decision-tree) planning.
 	PhasePlan = iota
 	// PhaseAcquire covers the batched acquisition of deduplicated
 	// opening windows.

@@ -12,8 +12,9 @@ const (
 	// stream-cost series (Pred/Stream identify the series, Before/After
 	// the estimate across the reset).
 	EventDriftTrip = "drift-trip"
-	// EventForcedReplan: cached plans were invalidated after a drift trip
-	// (Count = plans dropped).
+	// EventForcedReplan: shape-class plans were invalidated after drift
+	// trips (Count = plans invalidated), or a joint plan failed validation
+	// and its linear classes' executions failed (Count = classes failed).
 	EventForcedReplan = "forced-replan"
 	// EventRepartition: the sharded coordinator rebalanced queries across
 	// shards (Count = queries moved).

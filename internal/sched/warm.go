@@ -22,6 +22,26 @@ func (w Warm) Has(k query.StreamID, t int) bool {
 	return t-1 < len(row) && row[t-1]
 }
 
+// Equal reports whether two warm snapshots describe the same cache state,
+// row by row. Plan caches compare the snapshot a plan was built against
+// with the current one before reusing the plan.
+func (w Warm) Equal(o Warm) bool {
+	if len(w) != len(o) {
+		return false
+	}
+	for k := range w {
+		if len(w[k]) != len(o[k]) {
+			return false
+		}
+		for t := range w[k] {
+			if w[k][t] != o[k][t] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // WarmFromCounts builds a prefix-form warm state: counts[k] most recent
 // items of stream k are cached. This is exactly the NItems array of
 // Algorithm 1.

@@ -11,6 +11,7 @@ import (
 	"paotr/internal/adapt"
 	"paotr/internal/corpus"
 	"paotr/internal/engine"
+	"paotr/internal/stream"
 )
 
 // regimeService builds a service over the regime-shift corpus with every
@@ -47,6 +48,81 @@ func staleJPerTick(tb testing.TB, cfg corpus.RegimeConfig) float64 {
 		tb.Fatal(err)
 	}
 	return (w.Spent() - atShift) / float64(cfg.ShiftStep)
+}
+
+// priced2and5 builds two constant streams priced 2 J and 5 J per item:
+// c1 always reads 1 and c2 always reads 1.
+func priced2and5(tb testing.TB) *stream.Registry {
+	tb.Helper()
+	reg := stream.NewRegistry()
+	if err := reg.Add(stream.Constant("c1", 1), stream.CostModel{BaseJoules: 2}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := reg.Add(stream.Constant("c2", 1), stream.CostModel{BaseJoules: 5}); err != nil {
+		tb.Fatal(err)
+	}
+	return reg
+}
+
+// TestDetectorTripEvictsExactlyAffectedPlans: a predicate-level detector
+// trip must drop the cached plan of the shape class whose estimator-driven
+// predicate tripped and leave every other class's plan cache untouched.
+// Both classes run the adaptive executor, whose decision trees are cached
+// per class; the replan threshold 1 tolerates any probability drift, so
+// only the targeted invalidation can force a replan.
+func TestDetectorTripEvictsExactlyAffectedPlans(t *testing.T) {
+	svc := New(priced2and5(t), WithWorkers(1),
+		WithEngineOptions(engine.WithReplanThreshold(1)),
+		WithExecutor(engine.AdaptiveExecutor{GapThreshold: engine.DefaultGapThreshold}))
+	if err := svc.Register("q1", "c1 > 0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Register("q2", "c2 > 0"); err != nil {
+		t.Fatal(err)
+	}
+	reused := func(tr TickResult) map[string]bool {
+		out := map[string]bool{}
+		for _, e := range tr.Executions {
+			if e.Err != "" {
+				t.Fatalf("tick %d query %s: %s", tr.Tick, e.ID, e.Err)
+			}
+			out[e.ID] = e.PlanReused
+		}
+		return out
+	}
+	svc.Run(3)
+	if r := reused(svc.Tick()); !r["q1"] || !r["q2"] {
+		t.Fatalf("warm-up plans not cached: plan_reused = %v", r)
+	}
+	before := svc.Metrics().ReplansForced
+
+	// Drive q1's predicate through a 1→0 regime shift until the detector
+	// trips (recording directly, as an execution stream would).
+	_, keys, _ := svc.ProfileTree("q1")
+	ad := svc.Adaptive()
+	for i := 0; i < 40; i++ {
+		ad.Record(keys[0], true)
+	}
+	trips, _ := ad.Trips()
+	for i := 0; i < 200; i++ {
+		ad.Record(keys[0], false)
+		if p, _ := ad.Trips(); p > trips {
+			break
+		}
+	}
+	if p, _ := ad.Trips(); p == trips {
+		t.Fatal("detector never tripped on a 1→0 shift")
+	}
+	r := reused(svc.Tick())
+	if r["q1"] {
+		t.Error("q1 reused its plan after a detector trip on its predicate")
+	}
+	if !r["q2"] {
+		t.Error("q2's plan was evicted by a trip on an unrelated predicate")
+	}
+	if after := svc.Metrics().ReplansForced; after <= before {
+		t.Errorf("replans_forced = %d after the trip, want more than %d", after, before)
+	}
 }
 
 // tickAll runs n ticks and fails on any execution error.

@@ -50,28 +50,28 @@ func (s *Service) QuoteRegister(id, text string, opts ...QueryOption) (Quote, er
 		o(r)
 	}
 	var q *engine.Query
-	if c := s.textMemo[s.internKey(r, text)]; c != nil {
-		q = c.q
-	} else {
+	c := s.textMemo[s.internKey(r, text)]
+	if c == nil {
 		compiled, err := s.eng.Compile(text)
 		if err != nil {
 			return Quote{}, fmt.Errorf("service: compiling %q: %w", id, err)
 		}
 		q = compiled
+		c = s.classes[s.internKey(r, q.ShapeKey())]
 	}
-	r.q = q
-	tree := q.Tree()
-	if c := s.classes[s.internKey(r, q.ShapeKey())]; c != nil {
-		// An exact twin of a resident shape: it shares the leader's
-		// execution and plan, so its marginal planned cost is zero.
-		return Quote{SharedShape: true, IndependentJPerTick: s.independentPriceLocked(tree)}, nil
+	if c != nil {
+		// A twin of a resident shape: it runs the class's query and shares
+		// the leader's execution and plan, so its marginal planned cost is
+		// zero.
+		return Quote{SharedShape: true, IndependentJPerTick: s.independentPriceLocked(c.q.Tree())}, nil
 	}
 
 	// The independent price is taken on a fresh copy: independentPrice-
 	// Locked and the joint dry run below each apply the relay cost
 	// scaling once, and it must not compound on a shared tree.
+	tree := q.Tree()
 	quote := Quote{IndependentJPerTick: s.independentPriceLocked(q.Tree())}
-	if _, linear := s.executorFor(r).(engine.LinearExecutor); !linear {
+	if _, adaptive := s.executorFor(r).(engine.AdaptiveExecutor); adaptive {
 		// Non-linear executors do not participate in the joint plan;
 		// their marginal cost is their independent price.
 		quote.MarginalJPerTick = quote.IndependentJPerTick
@@ -86,8 +86,7 @@ func (s *Service) QuoteRegister(id, text string, opts ...QueryOption) (Quote, er
 	weights := make([]int, 0, len(s.classList))
 	need := make([]int, s.reg.Len())
 	for _, c := range s.classList {
-		lead := c.members[0]
-		if _, linear := s.executorFor(lead).(engine.LinearExecutor); !linear {
+		if _, adaptive := s.executorFor(c.members[0]).(engine.AdaptiveExecutor); adaptive {
 			continue
 		}
 		t := c.q.Tree()
@@ -100,7 +99,7 @@ func (s *Service) QuoteRegister(id, text string, opts ...QueryOption) (Quote, er
 	s.scaleTreeCosts(trees)
 	s.scaleTreeCosts([]*query.Tree{tree})
 	warm := sched.Warm(s.cache.SnapshotInto(need, nil))
-	quote.MarginalJPerTick = s.planner.QuoteJoint(keys, trees, weights, warm, s.quotePlanKey(r), tree)
+	quote.MarginalJPerTick = s.planner.QuoteJoint(keys, trees, weights, warm, s.planKeyLocked(q.ShapeHash()), tree)
 	return quote, nil
 }
 
@@ -113,19 +112,6 @@ func (s *Service) independentPriceLocked(tree *query.Tree) float64 {
 	warm := sched.Warm(s.cache.SnapshotInto(need, nil))
 	p := fleet.PlanJoint([]*query.Tree{tree}, warm)
 	return p.Expected
-}
-
-// quotePlanKey derives the shape-derived plan key the newcomer's class
-// would get, so the dry-run patch prices against exactly the due set a
-// real admission produces.
-func (s *Service) quotePlanKey(r *registered) string {
-	pk := fmt.Sprintf("shape:%016x", r.q.ShapeHash())
-	for n := 1; ; n++ {
-		if _, taken := s.planKeys[pk]; !taken {
-			return pk
-		}
-		pk = fmt.Sprintf("shape:%016x#%d", r.q.ShapeHash(), n)
-	}
 }
 
 // growNeed widens the per-stream item horizon to cover the tree.

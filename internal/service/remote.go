@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 
@@ -44,25 +45,23 @@ type workerQuery struct {
 }
 
 // encodeQueryOpts flattens QueryOptions into wire form by applying them
-// to a scratch registration. Executors other than the engine's linear
-// and adaptive strategies cannot cross the wire.
-func encodeQueryOpts(id, text string, opts []QueryOption) (workerQuery, error) {
+// to a scratch registration. engine.Executor is sealed, so the two
+// strategies below are all there is to encode; a nil executor leaves the
+// worker's default in place.
+func encodeQueryOpts(id, text string, opts []QueryOption) workerQuery {
 	var r registered
 	for _, o := range opts {
 		o(&r)
 	}
 	wq := workerQuery{ID: id, Query: text, Every: r.every}
 	switch x := r.exec.(type) {
-	case nil:
 	case engine.LinearExecutor:
 		wq.Executor = engine.StrategyLinear
 	case engine.AdaptiveExecutor:
 		wq.Executor = engine.StrategyAdaptive
 		wq.Gap = x.GapThreshold
-	default:
-		return wq, fmt.Errorf("service: executor %q does not serialize to a remote worker", x.Name())
 	}
-	return wq, nil
+	return wq
 }
 
 // decodeQueryOpts is the inverse: wire form back to QueryOptions.
@@ -325,7 +324,9 @@ func (h *WorkerHandler) handleCostScale(w http.ResponseWriter, r *http.Request) 
 // remoteWorker drives one WorkerHandler over HTTP, implementing Worker
 // for the coordinator. Transport failures on read paths degrade to zero
 // values (the coordinator's merge treats the worker as idle that tick);
-// failures on Register/Unregister surface as errors.
+// failures on Register/Unregister surface as errors. Query ids are
+// path-escaped (url.PathEscape) wherever they travel in a URL path: a raw
+// "?", "#" or "%" would cut or corrupt the path.
 type remoteWorker struct {
 	base string
 	hc   *http.Client
@@ -393,15 +394,11 @@ func (rw *remoteWorker) call(method, path string, in, out any) error {
 }
 
 func (rw *remoteWorker) Register(id, text string, opts ...QueryOption) error {
-	wq, err := encodeQueryOpts(id, text, opts)
-	if err != nil {
-		return err
-	}
-	return rw.call(http.MethodPost, "/worker/queries", wq, nil)
+	return rw.call(http.MethodPost, "/worker/queries", encodeQueryOpts(id, text, opts), nil)
 }
 
 func (rw *remoteWorker) Unregister(id string) error {
-	return rw.call(http.MethodDelete, "/worker/queries/"+id, nil, nil)
+	return rw.call(http.MethodDelete, "/worker/queries/"+url.PathEscape(id), nil, nil)
 }
 
 func (rw *remoteWorker) Tick() TickResult {
@@ -427,13 +424,13 @@ func (rw *remoteWorker) Tick() TickResult {
 
 func (rw *remoteWorker) Results(id string, n int) ([]Execution, error) {
 	var out []Execution
-	err := rw.call(http.MethodGet, "/worker/results/"+id+"?n="+strconv.Itoa(n), nil, &out)
+	err := rw.call(http.MethodGet, "/worker/results/"+url.PathEscape(id)+"?n="+strconv.Itoa(n), nil, &out)
 	return out, err
 }
 
 func (rw *remoteWorker) QueryMetrics(id string) (QueryMetrics, error) {
 	var out QueryMetrics
-	err := rw.call(http.MethodGet, "/worker/query-metrics/"+id, nil, &out)
+	err := rw.call(http.MethodGet, "/worker/query-metrics/"+url.PathEscape(id), nil, &out)
 	return out, err
 }
 
@@ -447,7 +444,7 @@ func (rw *remoteWorker) Metrics() Metrics {
 
 func (rw *remoteWorker) ProfileTree(id string) (*query.Tree, []string, bool) {
 	var out workerProfileResponse
-	if err := rw.call(http.MethodGet, "/worker/profile/"+id, nil, &out); err != nil || out.Tree == nil {
+	if err := rw.call(http.MethodGet, "/worker/profile/"+url.PathEscape(id), nil, &out); err != nil || out.Tree == nil {
 		return nil, nil, false
 	}
 	return out.Tree, out.PredKeys, true

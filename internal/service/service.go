@@ -9,8 +9,11 @@
 // service is where that sharing pays off across queries, not just across
 // the leaves of one tree. The cache's per-stream retention horizon is
 // kept equal to the maximum window over all registered queries,
-// recomputed on register/unregister, and the per-query plan caches of the
-// engine skip re-planning on ticks where nothing drifted.
+// recomputed on register/unregister. Queries equal up to AND/OR
+// commutativity form one shape class, the unit that is compiled, planned
+// and invalidated: its cached plans skip re-planning on ticks where
+// nothing drifted, and a detector trip drops exactly the affected
+// classes' plans.
 package service
 
 import (
@@ -54,8 +57,7 @@ type Service struct {
 	// collision disambiguation.
 	// textMemo shortcuts twin registration: (executor, text) of every
 	// live class's members maps to the class, so registering an exact
-	// twin skips compilation entirely and shares the class's compiled
-	// query (one engine-side query per shape, not per identity).
+	// twin skips compilation entirely.
 	classes   map[string]*shapeClass
 	classList []*shapeClass
 	planKeys  map[string]*shapeClass
@@ -63,8 +65,8 @@ type Service struct {
 	// ad is the online estimator and the service's only predicate store:
 	// the engine records every leaf outcome into it and plans from it.
 	// After phase 3 of every tick, realized per-stream acquisition costs
-	// are fed back into it; its detector events invalidate the fleet plan
-	// cache here and per-query plan caches in the engine.
+	// are fed back into it; its detector events invalidate the affected
+	// shape classes' plans (see drainTrips).
 	ad *adapt.Windowed
 	// prevSpent/prevTransferred/prevRelaySaved snapshot per-stream cache
 	// accounting at the end of the previous tick, to derive per-tick cost
@@ -80,10 +82,6 @@ type Service struct {
 	// sharded coordinator prices streams shared across shards at the
 	// relay-discounted blend of acquisition and transfer cost.
 	costScale []float64
-	// fleetInvalidated counts the joint-plan staleness marks driven by
-	// detector trips — the forced fleet replans (or patches) those trips
-	// cause.
-	fleetInvalidated atomic.Int64
 	// pendingTrips buffers detector events until the next tick: trips
 	// fire from phase-3 worker goroutines while the service lock is held,
 	// so they cannot touch planner state directly. tripMu guards it.
@@ -129,9 +127,8 @@ type Service struct {
 // order — and fans the verdict out to the rest (see Tick).
 type shapeClass struct {
 	// key is the interning key (executor configuration + canonical shape
-	// string; see internKey), hash the compact shape id for display.
-	key  string
-	hash uint64
+	// string; see internKey).
+	key string
 	// planKey is the class's stable id in the fleet plan cache. It
 	// depends only on the shape — never on which member happens to lead —
 	// so registering a twin, unregistering any subscriber but the last,
@@ -142,14 +139,15 @@ type shapeClass struct {
 	// members holds the subscriber identities in registration order; the
 	// first *due* member at a tick leads.
 	members []*registered
-	// q is the interned compiled query — members registered via the
-	// text memo share it (only one member evaluates per tick, and a
-	// compiled query supports concurrent use anyway), so the engine and
-	// the garbage collector see one query per shape, not per identity.
-	// Members whose distinct text independently compiled into this class
-	// keep their own compile; texts lists the memo keys to drop when the
+	// q is the class's compiled query, compiled from the text that created
+	// the class. Every member executes it — a commuted twin's own compile
+	// only finds its class and is dropped — so the class's cached plans
+	// refer to one leaf order whichever member leads. tree is q's tree,
+	// re-annotated in place by planFleet every tick (see
+	// engine.Query.TreeInto). texts lists the memo keys to drop when the
 	// class dies.
 	q     *engine.Query
+	tree  *query.Tree
 	texts []string
 	// estPreds holds the trace keys of the class's estimator-driven
 	// predicates and usedStream marks the streams its leaves read; both
@@ -164,7 +162,7 @@ type shapeClass struct {
 }
 
 // tickScratch is the per-tick working set of Tick and planFleet: due
-// list, prepared plans, the joint planner's inputs and outputs, and the
+// list, adaptive plans, the joint planner's inputs and outputs, and the
 // batcher's per-stream windows. Everything is truncated and refilled
 // each tick, so after warm-up the buffers stop growing.
 type tickScratch struct {
@@ -177,8 +175,7 @@ type tickScratch struct {
 	leadDueIdx []int
 	leadOf     []int
 	classDue   []int
-	preps      []engine.Prepared
-	fleetSet   []bool
+	aplans     []*engine.AdaptivePlan
 	fleetOf    []int // leader index -> joint-plan index, -1 outside the plan
 	idx        []int
 	keys       []string
@@ -206,7 +203,6 @@ type tickScratch struct {
 type registered struct {
 	id    string
 	text  string
-	q     *engine.Query
 	every int
 	exec  engine.Executor // nil: use the service default
 	// hist is a fixed-capacity ring of the last executions: once full,
@@ -218,9 +214,6 @@ type registered struct {
 	m       QueryMetrics
 	// cls is the shape equivalence class the query is interned into.
 	cls *shapeClass
-	// tree is the per-query scratch tree the fleet planner re-annotates
-	// in place every tick (see engine.Query.TreeInto).
-	tree *query.Tree
 }
 
 // Option configures a Service.
@@ -442,31 +435,17 @@ func New(reg *stream.Registry, opts ...Option) *Service {
 	if cfg.traceSample > 0 {
 		s.tracer.SetSample(cfg.traceSample)
 	}
-	// Rare structural events feed the journal: forced plan evictions from
-	// the engine (detector trips land there first) and estimator-state
-	// evictions (below). Both hooks fire while the emitting component's
-	// lock is held, so they only append — the journal is a leaf lock.
-	eng.SetInvalidationHook(func(kind, pred string, stream, dropped int) {
-		ev := obs.Event{Type: obs.EventForcedReplan, Tick: s.tickNow.Load(), Shard: s.shardIdx,
-			Pred: pred, Count: dropped, Detail: "query plans invalidated (" + kind + " trip)"}
-		if kind == adapt.KindStreamCost {
-			ev.Stream = stream
-		}
-		s.journal.Append(ev)
-	})
 	if cfg.ledger != nil {
 		s.cache.SetLedger(cfg.ledger)
 	}
 	if cfg.relay != nil {
 		s.cache.SetRelay(cfg.relay)
 	}
-	// The engine already evicts affected per-query plans on detector
-	// trips; the joint plans layered above them must react too. Trips
-	// fire from phase-3 worker goroutines while the service lock is held,
-	// so the event is only buffered here; the next tick drains the buffer
-	// and marks exactly the affected queries stale, which patches (or,
-	// for broad shifts, replans) the cached joint plan instead of
-	// dropping every entry (see drainTrips).
+	// Detector trips fire from phase-3 worker goroutines while the
+	// service lock is held, so the event is only buffered (and journaled)
+	// here; the next tick drains the buffer and invalidates exactly the
+	// affected shape classes' plans (see drainTrips). The journal is a
+	// leaf lock, so both hooks below only append.
 	ad.Subscribe(func(ev adapt.Event) {
 		s.tripMu.Lock()
 		s.pendingTrips = append(s.pendingTrips, ev)
@@ -517,7 +496,7 @@ func (s *Service) ProfileTree(id string) (*query.Tree, []string, bool) {
 	if !ok {
 		return nil, nil, false
 	}
-	return r.q.Tree(), r.q.PredKeys(), true
+	return r.cls.q.Tree(), r.cls.q.PredKeys(), true
 }
 
 // Trips totals the online estimator's detector trips (predicate and
@@ -575,9 +554,9 @@ func (s *Service) SetStreamCostScale(scale []float64) {
 // store, e.g. for estimator-state inspection.
 func (s *Service) Adaptive() *adapt.Windowed { return s.ad }
 
-// Engine exposes the service's engine: compiled queries, their plan
-// caches and forced-replan counts. Its cumulative trace store stays
-// empty, because leaf outcomes are recorded into Adaptive alone.
+// Engine exposes the service's engine, which compiles every shape
+// class's query. Its cumulative trace store stays empty, because leaf
+// outcomes are recorded into Adaptive alone.
 func (s *Service) Engine() *engine.Engine { return s.eng }
 
 // Cache exposes the shared acquisition cache.
@@ -621,36 +600,33 @@ func (s *Service) Register(id, text string, opts ...QueryOption) error {
 		o(r)
 	}
 	// Exact-twin shortcut: a text already registered under the same
-	// executor interns into its class without compiling again, and shares
-	// the class's compiled query.
-	var ck string
+	// executor interns into its class without compiling again. Any other
+	// text compiles to find its class; when the class already exists (a
+	// commuted twin), the compile is dropped and the member runs the
+	// class's query.
 	mk := s.internKey(r, text)
-	if c := s.textMemo[mk]; c != nil {
-		r.q = c.q
-		ck = c.key
-	}
-	if r.q == nil {
+	c := s.textMemo[mk]
+	if c == nil {
 		q, err := s.eng.Compile(text)
 		if err != nil {
 			return fmt.Errorf("service: compiling %q: %w", id, err)
 		}
-		r.q = q
-		ck = s.internKey(r, q.ShapeKey())
-	}
-	r.m = QueryMetrics{ID: id, Query: text, Every: r.every, Executor: s.executorFor(r).Name()}
-	if s.classes[ck] == nil {
-		// Retention claims are held per shape class, not per identity:
-		// twins share the leader's windows, so a 10k-twin registration
-		// storm grows the cache's horizons once, not 10k times.
-		if err := s.cache.Retain(ck, r.q.Windows()); err != nil {
-			return err
+		ck := s.internKey(r, q.ShapeKey())
+		if c = s.classes[ck]; c == nil {
+			// Retention claims are held per shape class, not per identity:
+			// twins share the class's windows, so a 10k-twin registration
+			// storm grows the cache's horizons once, not 10k times.
+			if err := s.cache.Retain(ck, q.Windows()); err != nil {
+				return err
+			}
+			c = s.newClassLocked(ck, q)
 		}
-	}
-	c := s.internLocked(r, ck)
-	if _, seen := s.textMemo[mk]; !seen {
 		s.textMemo[mk] = c
 		c.texts = append(c.texts, mk)
 	}
+	r.m = QueryMetrics{ID: id, Query: text, Every: r.every, Executor: s.executorFor(r).Name()}
+	c.members = append(c.members, r)
+	r.cls = c
 	s.queries[id] = r
 	s.order = append(s.order, r)
 	return nil
@@ -666,53 +642,52 @@ func (s *Service) internKey(r *registered, of string) string {
 	return fmt.Sprintf("%#v\x00%s", s.executorFor(r), of)
 }
 
-// internLocked adds the query to its shape equivalence class under the
-// precomputed class key, creating the class on first sight, and returns
-// the class. Caller holds the service lock.
-func (s *Service) internLocked(r *registered, ck string) *shapeClass {
-	q := r.q
-	c := s.classes[ck]
-	if c == nil {
-		c = &shapeClass{key: ck, hash: q.ShapeHash(), q: q}
-		// A stable shape-derived plan key, disambiguated on the
-		// (vanishingly rare) 64-bit hash collision between two live
-		// distinct shapes.
-		c.planKey = fmt.Sprintf("shape:%016x", c.hash)
-		for n := 1; ; n++ {
-			if other, taken := s.planKeys[c.planKey]; !taken || other.key == ck {
-				break
-			}
-			c.planKey = fmt.Sprintf("shape:%016x#%d", c.hash, n)
+// newClassLocked creates the shape class with interning key ck around
+// the compiled query q and returns it. Caller holds the service lock.
+func (s *Service) newClassLocked(ck string, q *engine.Query) *shapeClass {
+	c := &shapeClass{key: ck, q: q, planKey: s.planKeyLocked(q.ShapeHash())}
+	// Precompute the trip-mapping sets once per class: which
+	// estimator-driven predicate keys and which streams the shape depends
+	// on (see drainTrips).
+	keys := q.PredKeys()
+	c.estPreds = make(map[string]struct{})
+	for j, p := range q.Preds {
+		if math.IsNaN(p.Prob) {
+			c.estPreds[keys[j]] = struct{}{}
 		}
-		// Precompute the trip-mapping sets once per class: which
-		// estimator-driven predicate keys and which streams the shape
-		// depends on (see drainTrips).
-		keys := q.PredKeys()
-		c.estPreds = make(map[string]struct{})
-		for j, p := range q.Preds {
-			if math.IsNaN(p.Prob) {
-				c.estPreds[keys[j]] = struct{}{}
-			}
-		}
-		wins := q.Windows()
-		c.usedStream = make([]bool, len(wins))
-		for k, w := range wins {
-			c.usedStream[k] = w > 0
-		}
-		s.classes[ck] = c
-		s.classList = append(s.classList, c)
-		s.planKeys[c.planKey] = c
-		// Joint plans are keyed by due-set plan keys: a reused key must not
-		// inherit a plan built for a class that previously held it. Marking
-		// it stale replans just this class into the cached joint plan
-		// instead of dropping the whole plan cache. A twin joining an
-		// existing class deliberately marks nothing: the planner's inputs
-		// are unchanged, so the next tick is a pure plan-cache hit.
-		s.planner.MarkStale(c.planKey)
 	}
-	c.members = append(c.members, r)
-	r.cls = c
+	wins := q.Windows()
+	c.usedStream = make([]bool, len(wins))
+	for k, w := range wins {
+		c.usedStream[k] = w > 0
+	}
+	s.classes[ck] = c
+	s.classList = append(s.classList, c)
+	s.planKeys[c.planKey] = c
+	// Joint plans are keyed by due-set plan keys: a reused key must not
+	// inherit a plan built for a class that previously held it. Marking
+	// it stale replans just this class into the cached joint plan instead
+	// of dropping the whole plan cache. A twin joining an existing class
+	// deliberately marks nothing: the planner's inputs are unchanged, so
+	// the next tick is a pure plan-cache hit.
+	s.planner.MarkStale(c.planKey)
 	return c
+}
+
+// planKeyLocked returns the fleet plan-cache key a new class of shape
+// hash h gets: derived from the shape alone — never from which member
+// happens to lead — and disambiguated on the (vanishingly rare) 64-bit
+// hash collision between two live distinct shapes. Registration and
+// quoting both use it, so a quote prices exactly the due set a real
+// admission produces. Caller holds the service lock.
+func (s *Service) planKeyLocked(h uint64) string {
+	pk := fmt.Sprintf("shape:%016x", h)
+	for n := 1; ; n++ {
+		if _, taken := s.planKeys[pk]; !taken {
+			return pk
+		}
+		pk = fmt.Sprintf("shape:%016x#%d", h, n)
+	}
 }
 
 // Unregister removes a query and releases its retention claim; the
@@ -724,12 +699,6 @@ func (s *Service) Unregister(id string) error {
 	if !ok {
 		return fmt.Errorf("service: unknown query id %q", id)
 	}
-	if r.cls == nil || r.q != r.cls.q {
-		// A compile owned by this identity alone (a distinct text that
-		// interned into an existing class); the class-shared query is
-		// forgotten when the class dies below.
-		s.eng.Forget(r.q)
-	}
 	delete(s.queries, id)
 	for i, o := range s.order {
 		if o.id == id {
@@ -737,35 +706,33 @@ func (s *Service) Unregister(id string) error {
 			break
 		}
 	}
-	if c := r.cls; c != nil {
-		for i, m := range c.members {
-			if m == r {
-				c.members = append(c.members[:i], c.members[i+1:]...)
+	c := r.cls
+	for i, m := range c.members {
+		if m == r {
+			c.members = append(c.members[:i], c.members[i+1:]...)
+			break
+		}
+	}
+	if len(c.members) == 0 {
+		// Last subscriber gone: the class dies with it, releasing the
+		// class-held retention claim, its compiled query and the
+		// exact-twin memo entries (see Register).
+		delete(s.classes, c.key)
+		delete(s.planKeys, c.planKey)
+		for i, o := range s.classList {
+			if o == c {
+				s.classList = append(s.classList[:i], s.classList[i+1:]...)
 				break
 			}
 		}
-		if len(c.members) == 0 {
-			// Last subscriber gone: the class dies with it, releasing the
-			// class-held retention claim, the interned compiled query and
-			// the exact-twin memo entries (see Register).
-			delete(s.classes, c.key)
-			delete(s.planKeys, c.planKey)
-			for i, o := range s.classList {
-				if o == c {
-					s.classList = append(s.classList[:i], s.classList[i+1:]...)
-					break
-				}
-			}
-			s.cache.Release(c.key)
-			s.eng.Forget(c.q)
-			for _, mk := range c.texts {
-				delete(s.textMemo, mk)
-			}
+		s.cache.Release(c.key)
+		for _, mk := range c.texts {
+			delete(s.textMemo, mk)
 		}
-		// A surviving class keeps its plan key, cached joint plans and
-		// retention claim: unregistering one of several subscribers is
-		// free for the planner and the cache.
 	}
+	// A surviving class keeps its plan key, cached plans and retention
+	// claim: unregistering one of several subscribers is free for the
+	// planner and the cache.
 	// No planner invalidation: a shrunken due set misses the plan-cache
 	// key, and the planner patches the cached joint plan by dropping just
 	// this class's schedule (see fleet.Planner).
@@ -773,15 +740,16 @@ func (s *Service) Unregister(id string) error {
 }
 
 // drainTrips consumes the detector events buffered since the last tick
-// and marks the affected shape classes' joint-plan entries stale: a
-// predicate trip touches the classes whose estimator-driven predicates
-// include the tripped key, a stream-cost trip the classes with a leaf on
-// the stream. One mark per class covers every subscriber — a trip on a
-// predicate shared by 10k twins stales exactly one plan entry, O(distinct
-// shapes) per trip instead of O(fleet), and the replan all subscribers
-// observe is the leader's. The next joint plan then patches exactly those
-// classes (a shift broad enough to stale most of the fleet falls back to
-// a full replan). Caller holds the service lock.
+// and invalidates the affected shape classes' plans: a predicate trip
+// touches the classes whose estimator-driven predicates include the
+// tripped key, a stream-cost trip the classes with a leaf on the stream.
+// A linear class's joint-plan entry is marked stale, so the next joint
+// plan patches exactly those classes (a shift broad enough to stale most
+// of the fleet falls back to a full replan); an adaptive class drops its
+// cached decision tree. One invalidation per class covers every
+// subscriber — a trip on a predicate shared by 10k twins costs one
+// replan, O(distinct shapes) per trip instead of O(fleet). This is the
+// only code that maps trips to plans. Caller holds the service lock.
 func (s *Service) drainTrips() {
 	s.tripMu.Lock()
 	trips := s.pendingTrips
@@ -790,7 +758,7 @@ func (s *Service) drainTrips() {
 	if len(trips) == 0 {
 		return
 	}
-	marked := 0
+	forced := 0
 	for _, ev := range trips {
 		for _, c := range s.classList {
 			hit := false
@@ -802,15 +770,22 @@ func (s *Service) drainTrips() {
 			default:
 				hit = true
 			}
-			if hit {
-				marked += s.planner.MarkStale(c.planKey)
+			if !hit {
+				continue
+			}
+			if _, adaptive := s.executorFor(c.members[0]).(engine.AdaptiveExecutor); adaptive {
+				if c.q.InvalidatePlan() {
+					forced++
+				}
+			} else {
+				forced += s.planner.MarkStale(c.planKey)
 			}
 		}
 	}
-	s.fleetInvalidated.Add(int64(marked))
-	if marked > 0 {
+	s.ctr.ReplansForced += int64(forced)
+	if forced > 0 {
 		s.journal.Append(obs.Event{Type: obs.EventForcedReplan, Tick: s.tick, Shard: s.shardIdx,
-			Count: marked, Detail: "joint-plan entries marked stale"})
+			Count: forced, Detail: "shape-class plans invalidated"})
 	}
 }
 
@@ -918,26 +893,30 @@ func (s *Service) fanOut(n int, f func(int)) {
 }
 
 // planFleet jointly plans the due shape-class leaders running the linear
-// executor: their probability-annotated trees are handed to the fleet
-// planner as one workload against the shared warm cache state — keyed by
-// the classes' stable plan keys and weighted by their due subscriber
-// counts — and the resulting per-class schedules are bound into the
-// scratch plan slice executed directly in phase 3. fleetSet marks the
-// leader indices covered by the joint plan; fleetOf maps them to their
-// plan. Returns nil when no leader runs the linear executor. All planner
-// inputs live in the tick scratch — trees are re-annotated in place and
-// the planner deep-copies what it caches — so a steady-state plan
-// allocates nothing here. Caller holds the service lock.
-func (s *Service) planFleet(lead []*registered, fleetSet []bool) *fleet.Plan {
+// executor (sc.idx lists their leader indices): their classes'
+// probability-annotated trees are handed to the fleet planner as one
+// workload against the shared warm cache state — keyed by the classes'
+// stable plan keys and weighted by their due subscriber counts — and the
+// resulting per-class schedules are bound into the scratch plan slice
+// executed directly in phase 3; fleetOf maps the leader indices covered
+// by the joint plan to their plan. Returns nil when no leader runs the
+// linear executor. The planner builds valid schedules by
+// construction, so a joint plan that fails validation is a planner
+// defect: the plan cache is dropped, the event journaled, and the error
+// returned for Tick to fail the linear leaders' executions with. All
+// planner inputs live in the tick scratch — trees are re-annotated in
+// place and the planner deep-copies what it caches — so a steady-state
+// plan allocates nothing here. Caller holds the service lock.
+func (s *Service) planFleet(lead []*registered) (*fleet.Plan, error) {
 	sc := &s.scratch
 	sc.idx = sc.idx[:0]
 	for i, r := range lead {
-		if _, ok := s.executorFor(r).(engine.LinearExecutor); ok {
+		if _, adaptive := s.executorFor(r).(engine.AdaptiveExecutor); !adaptive {
 			sc.idx = append(sc.idx, i)
 		}
 	}
 	if len(sc.idx) == 0 {
-		return nil
+		return nil, nil
 	}
 	idx := sc.idx
 	sc.keys = sc.keys[:0]
@@ -951,12 +930,12 @@ func (s *Service) planFleet(lead []*registered, fleetSet []bool) *fleet.Plan {
 		sc.need[k] = 0
 	}
 	for _, i := range idx {
-		r := lead[i]
-		r.tree = r.q.TreeInto(r.tree)
-		sc.keys = append(sc.keys, r.cls.planKey)
+		c := lead[i].cls
+		c.tree = c.q.TreeInto(c.tree)
+		sc.keys = append(sc.keys, c.planKey)
 		sc.weights = append(sc.weights, sc.classDue[i])
-		sc.trees = append(sc.trees, r.tree)
-		for _, lf := range r.tree.Leaves {
+		sc.trees = append(sc.trees, c.tree)
+		for _, lf := range c.tree.Leaves {
 			if k := int(lf.Stream); lf.Items > sc.need[k] {
 				sc.need[k] = lf.Items
 			}
@@ -995,10 +974,10 @@ func (s *Service) planFleet(lead []*registered, fleetSet []bool) *fleet.Plan {
 	err := fplan.Validate(sc.trees)
 	s.ctr.PlanNanos += time.Since(start).Nanoseconds()
 	if err != nil {
-		// Defensive: an invalid joint plan falls back to per-query
-		// planning (phase 1b picks the queries up).
 		s.planner.Invalidate()
-		return nil
+		s.journal.Append(obs.Event{Type: obs.EventForcedReplan, Tick: s.tick, Shard: s.shardIdx,
+			Count: len(idx), Detail: "invalid joint plan: " + err.Error()})
+		return nil, err
 	}
 	s.ctr.FleetPlans++
 	if reused {
@@ -1021,29 +1000,28 @@ func (s *Service) planFleet(lead []*registered, fleetSet []bool) *fleet.Plan {
 			ExpectedCost: qp.Expected,
 			Reused:       reused,
 		}
-		fleetSet[i] = true
 		sc.fleetOf[i] = fi
 	}
-	return fplan
+	return fplan, nil
 }
 
 // Tick advances shared time by one step and executes every due query on
 // the worker pool, in three phases:
 //
-//  1. Plan: the due queries running the linear executor are planned as
-//     one joint workload by the fleet planner (internal/fleet) — a
-//     leaf's marginal cost is discounted by the probability that some
-//     sibling query's schedule pulls the same items — while queries with
-//     other executors build (or reuse) their own plans. Planning only
-//     reads the cache, so all plans of one tick see the same state.
+//  1. Plan: one leader per due shape class plans for the class. The
+//     linear-executor classes are planned as one joint workload by the
+//     fleet planner (internal/fleet) — a leaf's marginal cost is
+//     discounted by the probability that some sibling class's schedule
+//     pulls the same items — while adaptive-executor classes build (or
+//     reuse) their own decision trees. Planning only reads the cache, so
+//     all plans of one tick see the same state.
 //  2. Batch: the joint plan's acquisition manifest, merged with the
-//     first-leaf windows of the individually planned queries, is
-//     deduplicated and each shared stream is pre-acquired once. First
-//     leaves are never short-circuited, so every pre-pulled item would
-//     have been paid for by some query this tick anyway; batching stops
-//     concurrent workers from racing to pull the same items (see
-//     Metrics.BatchedCost).
-//  3. Execute: the prepared plans run on the worker pool. The cache
+//     first-leaf windows of the adaptive plans, is deduplicated and each
+//     shared stream is pre-acquired once. First leaves are never
+//     short-circuited, so every pre-pulled item would have been paid for
+//     by some query this tick anyway; batching stops concurrent workers
+//     from racing to pull the same items (see Metrics.BatchedCost).
+//  3. Execute: the planned leaders run on the worker pool. The cache
 //     stripes pulls per stream, so workers on different streams proceed
 //     in parallel and the first query to need an item pays for it while
 //     the rest reuse it for free.
@@ -1098,35 +1076,39 @@ func (s *Service) Tick() TickResult {
 	lead, leadDueIdx := sc.lead, sc.leadDueIdx
 	planStart := time.Now()
 
-	// Phase 1a: joint planning of the linear-executor leaders.
-	if cap(sc.preps) < len(lead) {
-		sc.preps = make([]engine.Prepared, len(lead))
-		sc.fleetSet = make([]bool, len(lead))
+	// Phase 1a: joint planning of the linear-executor leaders. An invalid
+	// joint plan fails their executions (see planFleet).
+	if cap(sc.aplans) < len(lead) {
+		sc.aplans = make([]*engine.AdaptivePlan, len(lead))
 		sc.fleetOf = make([]int, len(lead))
 	}
-	preps := sc.preps[:len(lead)]
-	fleetSet := sc.fleetSet[:len(lead)]
+	aplans := sc.aplans[:len(lead)]
 	fleetOf := sc.fleetOf[:len(lead)]
-	for i := range preps {
-		preps[i] = nil
-		fleetSet[i] = false
+	for i := range aplans {
+		aplans[i] = nil
 		fleetOf[i] = -1
 	}
-	fplan := s.planFleet(lead, fleetSet)
-
-	// Phase 1b: every leader not covered by the joint plan prepares
-	// through its own executor.
-	s.fanOut(len(lead), func(i int) {
-		if fleetSet[i] {
-			return
+	fplan, err := s.planFleet(lead)
+	if err != nil {
+		for _, i := range sc.idx {
+			out.Executions[leadDueIdx[i]] = Execution{ID: lead[i].id, Tick: s.tick, Shard: s.shardIdx, Err: err.Error()}
 		}
+	}
+
+	// Phase 1b: every adaptive-executor leader plans its class's decision
+	// tree (or linear fallback).
+	s.fanOut(len(lead), func(i int) {
 		r := lead[i]
-		prep, err := s.executorFor(r).Prepare(r.q, s.cache)
+		x, adaptive := s.executorFor(r).(engine.AdaptiveExecutor)
+		if !adaptive {
+			return // joint-planned in phase 1a
+		}
+		ap, err := r.cls.q.PlanAdaptive(s.cache, x.GapThreshold)
 		if err != nil {
 			out.Executions[leadDueIdx[i]] = Execution{ID: r.id, Tick: s.tick, Shard: s.shardIdx, Err: err.Error()}
 			return
 		}
-		preps[i] = prep
+		aplans[i] = ap
 	})
 	planDur := time.Since(planStart)
 	acquireStart := time.Now()
@@ -1153,11 +1135,11 @@ func (s *Service) Tick() TickResult {
 			}
 		}
 	}
-	for i, p := range preps {
-		if p == nil || fleetSet[i] {
-			continue // failed, or already in the joint manifest
+	for _, ap := range aplans {
+		if ap == nil {
+			continue // joint-planned (in the manifest), or failed
 		}
-		k, d, ok := p.FirstAcquisition()
+		k, d, ok := ap.FirstAcquisition()
 		if !ok {
 			continue
 		}
@@ -1199,17 +1181,16 @@ func (s *Service) Tick() TickResult {
 	acquireDur := time.Since(acquireStart)
 	execStart := time.Now()
 
-	// Phase 3: execute the leaders. Fleet-planned queries run their
-	// scratch plan directly — no per-query Prepared wrapper on the hot
-	// path.
+	// Phase 3: execute the leaders, each running its class's query.
+	// Fleet-planned classes run their scratch plan directly.
 	s.fanOut(len(lead), func(i int) {
 		r := lead[i]
 		var res engine.Result
 		var err error
 		if fi := fleetOf[i]; fi >= 0 {
-			res, err = r.q.ExecutePlan(&sc.plans[fi], s.cache)
-		} else if preps[i] != nil {
-			res, err = preps[i].Execute(s.cache)
+			res, err = r.cls.q.ExecutePlan(&sc.plans[fi], s.cache)
+		} else if aplans[i] != nil {
+			res, err = r.cls.q.ExecuteAdaptivePlan(aplans[i], s.cache)
 		} else {
 			return // planning failed; the error is already recorded
 		}
@@ -1223,7 +1204,7 @@ func (s *Service) Tick() TickResult {
 			Evaluated:    res.Evaluated,
 			PlanReused:   res.PlanReused,
 			Strategy:     res.Strategy,
-			FleetPlanned: fleetSet[i],
+			FleetPlanned: fleetOf[i] >= 0,
 		}
 		if err != nil {
 			e.Err = err.Error()
@@ -1506,9 +1487,10 @@ type Counters struct {
 	SharedExecutions int64 `json:"shared_executions"`
 	// PredicateDetectorTrips / CostDetectorTrips count Page-Hinkley
 	// regime-shift detections on predicate probabilities and per-stream
-	// acquisition costs; ReplansForced counts the plan-cache evictions
-	// those trips drove — per-query cached plans plus cached joint fleet
-	// plans (targeted invalidation instead of passive drift checks).
+	// acquisition costs; ReplansForced counts the shape-class plans those
+	// trips invalidated — joint-plan entries marked stale plus cached
+	// decision trees dropped (targeted invalidation instead of passive
+	// drift checks; see drainTrips).
 	PredicateDetectorTrips int64 `json:"predicate_detector_trips"`
 	CostDetectorTrips      int64 `json:"cost_detector_trips"`
 	ReplansForced          int64 `json:"replans_forced"`
@@ -1756,7 +1738,6 @@ func (s *Service) Metrics() Metrics {
 		c.ShapeSubscribers += len(cl.members)
 	}
 	c.PredicateDetectorTrips, c.CostDetectorTrips = s.ad.Trips()
-	c.ReplansForced = s.eng.ReplansForced() + s.fleetInvalidated.Load()
 	c.TrackedPredicates = s.ad.Len()
 	c.TraceEvictions = s.ad.Evictions()
 	m := Metrics{

@@ -234,6 +234,39 @@ func TestDriftTripReplansShapeClassForAllSubscribers(t *testing.T) {
 	}
 }
 
+// TestCommutedTwinSharesClassPlan: a commuted twin (Y AND X registered
+// beside X AND Y) interns into the class and runs the class's compiled
+// query, so the cached joint schedule always meets the leaf order it was
+// planned for, whichever member leads. With the cheap, always-FALSE leaf
+// first (C/p 4 against 10), every leader evaluates one leaf for 2 J:
+// 8 ticks pay 16 J, and the 4 ticks both members are due add 4 shared
+// evaluations to the 8 the leaders make.
+func TestCommutedTwinSharesClassPlan(t *testing.T) {
+	svc := New(priced2and5(t), WithWorkers(1))
+	if err := svc.Register("xy", "c1 > 5 [p=0.5] AND c2 > 0 [p=0.5]", Every(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Register("yx", "c2 > 0 [p=0.5] AND c1 > 5 [p=0.5]"); err != nil {
+		t.Fatal(err)
+	}
+	if m := svc.Metrics(); m.DistinctShapes != 1 {
+		t.Fatalf("distinct shapes = %d, want 1", m.DistinctShapes)
+	}
+	for _, tr := range svc.Run(8) {
+		for _, e := range tr.Executions {
+			if e.Err != "" || e.Value {
+				t.Fatalf("tick %d %s: %+v, want FALSE without error", tr.Tick, e.ID, e)
+			}
+			if !e.Shared && e.Evaluated != 1 {
+				t.Errorf("tick %d leader %s evaluated %d leaves, want 1", tr.Tick, e.ID, e.Evaluated)
+			}
+		}
+	}
+	if m := svc.Metrics(); m.PaidCost != 16 || m.PredicatesEvaluated != 12 {
+		t.Errorf("class paid %v J over %d predicates, want 16 J over 12", m.PaidCost, m.PredicatesEvaluated)
+	}
+}
+
 // Unregistering one subscriber must leave the class live for the rest —
 // the remaining twins keep observing executions, and the cached joint
 // plan survives (no staleness marks, pure reuse).

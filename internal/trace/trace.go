@@ -45,16 +45,6 @@ type Stats struct {
 type Store struct {
 	mu     sync.RWMutex
 	counts map[string]*Stats
-	// stamps holds a recency stamp per predicate (for capped eviction).
-	stamps map[string]int64
-	clock  int64
-	// cap bounds the number of distinct predicates retained (0 =
-	// unlimited); evictions counts predicates dropped to honour it.
-	cap       int
-	evictions int64
-	// evictHook, when set, observes each eviction batch (see
-	// SetEvictionHook).
-	evictHook func(evicted int)
 	// PriorProb is the estimate returned for predicates with no history
 	// (default 0.5).
 	PriorProb float64
@@ -65,51 +55,15 @@ type Store struct {
 
 // NewStore creates an empty store with the default uniform prior.
 func NewStore() *Store {
-	return &Store{counts: map[string]*Stats{}, stamps: map[string]int64{}, PriorProb: 0.5, PriorWeight: 2}
-}
-
-// SetCap bounds the number of distinct predicates the store retains
-// (0 removes the bound). When a Record pushes the store past the cap, the
-// least-recently-recorded predicates are evicted — under churning tenant
-// registration the per-predicate history otherwise grows forever.
-func (s *Store) SetCap(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cap = n
-	s.evictLocked()
-}
-
-// Cap returns the predicate-count bound (0 = unlimited).
-func (s *Store) Cap() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.cap
-}
-
-// Evictions returns how many predicates have been evicted to honour the
-// cap.
-func (s *Store) Evictions() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.evictions
-}
-
-// SetEvictionHook installs an observer of cap-driven evictions: each
-// eviction batch reports how many predicates were dropped. The hook is
-// called with the store's lock held and must not call back into the
-// store; a service journals the events (see internal/obs).
-func (s *Store) SetEvictionHook(fn func(evicted int)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.evictHook = fn
+	return &Store{counts: map[string]*Stats{}, PriorProb: 0.5, PriorWeight: 2}
 }
 
 // OldestKeys returns the least-recently-stamped keys to evict so that a
 // map of len(stamps) entries honours the cap, over-evicting by ~1/16 of
 // the cap so the scan amortizes over many insertions instead of running
 // once per new key at the bound. It returns nil while the cap is
-// honoured. The windowed estimator (internal/adapt) shares this policy
-// for its own per-predicate state.
+// honoured. The windowed estimator (internal/adapt) bounds its
+// per-predicate state with it.
 func OldestKeys(stamps map[string]int64, cap int) []string {
 	if cap <= 0 || len(stamps) <= cap {
 		return nil
@@ -134,21 +88,6 @@ func OldestKeys(stamps map[string]int64, cap int) []string {
 	return out
 }
 
-// evictLocked drops least-recently-recorded predicates until the cap is
-// honoured (see OldestKeys). Caller holds mu exclusively.
-func (s *Store) evictLocked() {
-	dropped := 0
-	for _, pred := range OldestKeys(s.stamps, s.cap) {
-		delete(s.counts, pred)
-		delete(s.stamps, pred)
-		s.evictions++
-		dropped++
-	}
-	if dropped > 0 && s.evictHook != nil {
-		s.evictHook(dropped)
-	}
-}
-
 // Record adds one evaluation outcome for the predicate.
 func (s *Store) Record(pred string, success bool) {
 	s.mu.Lock()
@@ -162,9 +101,6 @@ func (s *Store) Record(pred string, success bool) {
 	if success {
 		st.Successes++
 	}
-	s.clock++
-	s.stamps[pred] = s.clock
-	s.evictLocked()
 }
 
 // Estimate returns the smoothed success probability of the predicate and
@@ -238,12 +174,6 @@ func (s *Store) Load(r io.Reader) error {
 	if s.counts == nil {
 		s.counts = map[string]*Stats{}
 	}
-	s.stamps = make(map[string]int64, len(s.counts))
-	for k := range s.counts {
-		s.clock++
-		s.stamps[k] = s.clock
-	}
-	s.evictLocked()
 	return nil
 }
 

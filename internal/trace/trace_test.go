@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"path/filepath"
 	"strings"
@@ -145,39 +146,35 @@ func TestConcurrentRecord(t *testing.T) {
 	}
 }
 
+// TestCapEvictsLeastRecentlyRecorded: OldestKeys names the
+// least-recently-stamped keys once a map outgrows its cap, over-evicting
+// by cap/16, and nothing while the cap holds or is 0 (unbounded).
 func TestCapEvictsLeastRecentlyRecorded(t *testing.T) {
-	s := NewStore()
-	s.SetCap(3)
+	stamps := map[string]int64{}
 	for i := 0; i < 5; i++ {
-		for j := 0; j <= i; j++ {
-			s.Record(string(rune('a'+i)), true)
-		}
+		stamps[string(rune('a'+i))] = int64(i + 1)
 	}
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d after cap-3 churn, want 3", s.Len())
+	if got := OldestKeys(stamps, 5); got != nil {
+		t.Errorf("OldestKeys at the cap = %v, want nil", got)
 	}
-	if s.Evictions() != 2 {
-		t.Errorf("Evictions = %d, want 2", s.Evictions())
+	if got := OldestKeys(stamps, 0); got != nil {
+		t.Errorf("OldestKeys uncapped = %v, want nil", got)
 	}
-	// The two oldest predicates ("a", "b") are gone; the rest survive.
-	if got := s.Predicates(); len(got) != 3 || got[0] != "c" || got[2] != "e" {
-		t.Errorf("surviving predicates = %v, want [c d e]", got)
+	// The two oldest keys ("a", "b") go; cap 3 over-evicts 3/16 = 0 more.
+	if got := OldestKeys(stamps, 3); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Errorf("OldestKeys(cap 3) = %v, want [a b]", got)
 	}
-	// Recording an evicted predicate starts it fresh.
-	if st := s.StatsFor("a"); st.Evals != 0 {
-		t.Errorf("evicted predicate kept stats: %+v", st)
+	// Recency, not insertion order: refreshing "a" makes "b" the oldest.
+	stamps["a"] = 9
+	if got := OldestKeys(stamps, 4); len(got) != 1 || got[0] != "b" {
+		t.Errorf("OldestKeys after refreshing a = %v, want [b]", got)
 	}
-	// Shrinking the cap evicts immediately.
-	s.SetCap(1)
-	if s.Len() != 1 || s.Evictions() != 4 {
-		t.Errorf("after SetCap(1): Len=%d Evictions=%d, want 1 and 4", s.Len(), s.Evictions())
+	// A cap of 32 over-evicts 32/16 = 2 beyond the overflow.
+	big := map[string]int64{}
+	for i := 0; i < 33; i++ {
+		big[fmt.Sprintf("p%02d", i)] = int64(i)
 	}
-	// Cap 0 removes the bound.
-	s.SetCap(0)
-	for i := 0; i < 10; i++ {
-		s.Record(string(rune('p'+i)), false)
-	}
-	if s.Len() != 11 {
-		t.Errorf("uncapped Len = %d, want 11", s.Len())
+	if got := OldestKeys(big, 32); len(got) != 3 || got[0] != "p00" || got[2] != "p02" {
+		t.Errorf("OldestKeys(33 keys, cap 32) = %v, want [p00 p01 p02]", got)
 	}
 }

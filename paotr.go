@@ -28,7 +28,8 @@
 //     trace-driven probability estimation.
 //   - A concurrent multi-query scheduling service (internal/service,
 //     cmd/paotrserve): many continuous queries share one acquisition
-//     cache and skip re-planning via per-query plan caches.
+//     cache, queries equal up to commutativity are planned and evaluated
+//     once per shape class, and cached plans skip re-planning.
 //
 // # Quick start
 //
