@@ -75,6 +75,41 @@ func TestLearnedCostsRepriceTrees(t *testing.T) {
 	}
 }
 
+// TestUnreadStreamCostKeepsPlans: a learned cost change on a stream the
+// query never reads cannot move its schedule or its price, so both plan
+// caches keep reusing — the same drift test the fleet planner applies.
+func TestUnreadStreamCostKeepsPlans(t *testing.T) {
+	ad := adapt.NewWindowed(adapt.Config{})
+	e := New(adaptRegistry(t), WithEstimator(ad), WithCostSource(ad))
+	q, err := e.Compile("c1 > 0 [p=0.5]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := q.NewCache()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache.Advance(1)
+	if _, err := q.PlanAdaptive(cache, 0); err != nil {
+		t.Fatal(err)
+	}
+	ad.ObserveCost(1, 9, 1) // c2: the query reads only c1
+	p, err := q.Plan(cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.Reused {
+		t.Error("Plan re-planned after a cost change on an unread stream")
+	}
+	ap, err := q.PlanAdaptive(cache, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ap.Reused {
+		t.Error("PlanAdaptive re-planned after a cost change on an unread stream")
+	}
+}
+
 // TestCIGateKeepsLowEvidenceQueriesLinear: an adaptive-executor query
 // whose leaf probabilities rest on no evidence (CI width 1) must fall
 // back to the linear schedule even when the modelled gap clears the

@@ -368,11 +368,12 @@ type Plan struct {
 
 // Plan builds (or reuses) a schedule for the query against the cache's
 // current state. When the fingerprint — the per-leaf probability
-// estimates, the per-stream per-item costs (which drift when a cost
-// source learns them; see WithCostSource) and the warm-state snapshot —
-// has not drifted beyond the engine's replan threshold since the last
-// plan, the cached schedule is reused and only its expected cost is
-// recomputed; otherwise the planner runs anew.
+// estimates, the per-item costs of the streams the query reads (which
+// drift when a cost source learns them; see WithCostSource) and the
+// warm-state snapshot — has not drifted beyond the engine's replan
+// threshold since the last plan (query.Tree.Drift, the test the fleet
+// planner applies per class), the cached schedule is reused and only its
+// expected cost is recomputed; otherwise the planner runs anew.
 func (q *Query) Plan(cache *acquisition.Cache) (*Plan, error) {
 	t := q.Tree()
 	var warm sched.Warm
@@ -380,21 +381,12 @@ func (q *Query) Plan(cache *acquisition.Cache) (*Plan, error) {
 	if !cold {
 		warm = sched.Warm(cache.Snapshot(t.StreamMaxItems()))
 	}
-	probs := make([]float64, len(t.Leaves))
-	for j := range t.Leaves {
-		probs[j] = t.Leaves[j].Prob
-	}
-	costs := streamCosts(t)
 
 	q.mu.Lock()
 	prev := q.last
 	q.mu.Unlock()
 	if prev != nil && q.engine.replanEps >= 0 && prev.warm.Equal(warm) {
-		drift := maxDrift(prev.probs, probs)
-		if cd := maxRelCostDrift(prev.costs, costs); cd > drift {
-			drift = cd
-		}
-		if drift <= q.engine.replanEps {
+		if drift := t.Drift(prev.probs, prev.costs); drift <= q.engine.replanEps {
 			// Keep the fingerprint of the plan that produced the schedule:
 			// drift is always measured against the probabilities the planner
 			// actually saw, so slow cumulative drift still forces a re-plan
@@ -427,19 +419,10 @@ func (q *Query) Plan(cache *acquisition.Cache) (*Plan, error) {
 	if err := s.Validate(t); err != nil {
 		return nil, fmt.Errorf("engine: planner returned invalid schedule: %w", err)
 	}
-	p := &Plan{Tree: t, Schedule: s, ExpectedCost: expected, probs: probs, costs: costs, warm: warm}
+	p := &Plan{Tree: t, Schedule: s, ExpectedCost: expected, warm: warm}
+	p.probs, p.costs = t.Fingerprint()
 	q.storePlan(p)
 	return p, nil
-}
-
-// streamCosts extracts the tree's per-stream per-item costs (the cost
-// part of a plan fingerprint).
-func streamCosts(t *query.Tree) []float64 {
-	out := make([]float64, len(t.Streams))
-	for k := range t.Streams {
-		out[k] = t.Streams[k].Cost
-	}
-	return out
 }
 
 func (q *Query) storePlan(p *Plan) {
@@ -458,43 +441,6 @@ func (q *Query) InvalidatePlan() bool {
 	q.last = nil
 	q.lastAdaptive = nil
 	return had
-}
-
-// maxRelCostDrift returns the largest relative per-stream cost change
-// |b/a - 1|, or +Inf when the vectors are incomparable (a cost falling
-// to or rising from zero is incomparable too).
-func maxRelCostDrift(a, b []float64) float64 {
-	if len(a) != len(b) {
-		return math.Inf(1)
-	}
-	d := 0.0
-	for k := range a {
-		switch {
-		case a[k] == b[k]:
-		case a[k] <= 0:
-			return math.Inf(1)
-		default:
-			if dk := math.Abs(b[k]-a[k]) / a[k]; dk > d {
-				d = dk
-			}
-		}
-	}
-	return d
-}
-
-// maxDrift returns the largest absolute per-leaf probability change, or
-// +Inf when the vectors are incomparable.
-func maxDrift(a, b []float64) float64 {
-	if len(a) != len(b) {
-		return math.Inf(1)
-	}
-	d := 0.0
-	for j := range a {
-		if dj := math.Abs(a[j] - b[j]); dj > d {
-			d = dj
-		}
-	}
-	return d
 }
 
 // evalLeaf acquires leaf j's stream window from the cache, evaluates its

@@ -169,11 +169,6 @@ func (q *Query) PlanAdaptive(cache *acquisition.Cache, gapThreshold float64) (*A
 			NonLinearCost: math.NaN(), Reused: lin.Reused,
 		}, nil
 	}
-	probs := make([]float64, len(t.Leaves))
-	for j := range t.Leaves {
-		probs[j] = t.Leaves[j].Prob
-	}
-	costs := streamCosts(t)
 	warm := lin.warm
 	// Evidence gate: a decision tree is only preferred when the modelled
 	// gap also clears a share of the widest confidence interval over the
@@ -189,11 +184,7 @@ func (q *Query) PlanAdaptive(cache *acquisition.Cache, gapThreshold float64) (*A
 	prev := q.lastAdaptive
 	q.mu.Unlock()
 	if prev != nil && q.engine.replanEps >= 0 && prev.warm.Equal(warm) {
-		drift := maxDrift(prev.probs, probs)
-		if cd := maxRelCostDrift(prev.costs, costs); cd > drift {
-			drift = cd
-		}
-		if drift <= q.engine.replanEps {
+		if drift := t.Drift(prev.probs, prev.costs); drift <= q.engine.replanEps {
 			// Keep the cached choice (tree or fallback) and its
 			// fingerprint; re-price the tree only when probabilities or
 			// learned costs moved.
@@ -227,8 +218,9 @@ func (q *Query) PlanAdaptive(cache *acquisition.Cache, gapThreshold float64) (*A
 	ap := &AdaptivePlan{
 		Tree: t, Linear: lin,
 		LinearCost: lin.ExpectedCost, NonLinearCost: nl,
-		CIWidth: ciw, probs: probs, costs: costs, warm: warm,
+		CIWidth: ciw, warm: warm,
 	}
+	ap.probs, ap.costs = t.Fingerprint()
 	if preferTree(effGap, lin.ExpectedCost, nl) {
 		ap.Root = root
 		ap.ExpectedCost = nl

@@ -26,11 +26,18 @@
 // schedules under the same joint objective and keeps whichever of the
 // two is cheaper, so its modelled joint cost never exceeds the sum of
 // the independent plans' costs.
+//
+// Planner caches joint plans across ticks and builds every plan one way:
+// the queries whose cached schedules are still trusted keep them, and the
+// greedy places the rest against them. The closed form does not depend on
+// placement order, so this minimises the same objective as a from-scratch
+// plan, which is the case where nothing is kept. Drift past Planner.Eps
+// therefore re-places only the drifted queries, and QuoteJoint prices
+// admissions through the same selection.
 package fleet
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 
@@ -84,10 +91,11 @@ type Plan struct {
 	// best-of-two against the independently planned orders re-priced
 	// under the joint objective.
 	GreedyJoint bool
-	// Patched reports that the plan was produced by incrementally
-	// patching a cached joint plan — surviving queries kept their cached
-	// schedules and only the added or stale queries' units were re-placed
-	// — rather than by a full replan (see Planner.MarkStale).
+	// Patched reports that the plan kept some queries' cached schedules
+	// and placed only the rest — registered, stale or drifted queries —
+	// against them, rather than planning every query from scratch (see
+	// Planner). A plan reused under drift within Eps places nothing and
+	// reports the Patched of the plan it re-prices.
 	Patched bool
 	// Manifest is the deduplicated acquisition plan: for every stream
 	// some query's schedule opens on, the window to pre-acquire once.
@@ -318,7 +326,7 @@ func independentOrder(t *query.Tree, warm sched.Warm) sched.Schedule {
 // For a single tree the joint plan degenerates to the engine's default
 // warm planner: same schedule, same expected cost.
 func PlanJoint(trees []*query.Tree, warm sched.Warm) *Plan {
-	return planJoint(trees, nil, warm, false)
+	return planJoint(trees, nil, nil, warm, false)
 }
 
 // PlanJointWeighted is PlanJoint over shape equivalence classes: tree qi
@@ -327,30 +335,43 @@ func PlanJoint(trees []*query.Tree, warm sched.Warm) *Plan {
 // selection-key ties — a factored shape executes once regardless of its
 // subscriber count, so the joint objective itself is weight-invariant.
 func PlanJointWeighted(trees []*query.Tree, weights []int, warm sched.Warm) *Plan {
-	return planJoint(trees, weights, warm, false)
+	return planJoint(trees, weights, nil, warm, false)
 }
 
-// planJoint is PlanJointWeighted with a choice of selection loop: the
-// lazy heap, or with quadratic set the seed O(u²) scan — the
-// byte-identity oracle the heap planner's tests compare against.
-func planJoint(trees []*query.Tree, weights []int, warm sched.Warm, quadratic bool) *Plan {
+// planJoint builds every joint plan. Each tree qi with a non-nil kept[qi]
+// keeps that schedule, committed first in input order; the joint greedy
+// places every other tree's AND units against them — the lazy heap, or
+// with quadratic set the seed O(u²) scan, the byte-identity oracle the
+// heap planner's tests compare against. The joint cost telescopes to its
+// closed form whatever the placement order, so keeping a schedule prices
+// the same objective as placing it afresh, and a nil kept is the
+// from-scratch plan.
+func planJoint(trees []*query.Tree, weights []int, kept []sched.Schedule, warm sched.Warm, quadratic bool) *Plan {
 	plan := &Plan{Queries: make([]QueryPlan, len(trees)), GreedyJoint: true}
 	if len(trees) == 0 {
 		return plan
 	}
 
-	// Greedy joint order over every query's AND units: place the unit
+	// Greedy joint order over the placed queries' AND units: place the unit
 	// with the smallest cross-discounted incremental C/p, as the paper's
 	// best DNF heuristic does within one query.
 	st := newJointState(trees, warm)
 	sc := greedyScratchPool.Get().(*greedyScratch)
 	units := sc.units[:0]
-	for qi, t := range trees {
-		units = appendUnitsOf(units, qi, t, weightOf(weights, qi), warm)
-	}
 	greedy := make([]sched.Schedule, len(trees))
 	greedyPerQuery := make([]float64, len(trees))
 	greedyTotal := 0.0
+	for qi, t := range trees {
+		if qi < len(kept) && kept[qi] != nil {
+			delta := st.appendUnit(unit{q: qi, leaves: kept[qi]}, true)
+			greedy[qi] = kept[qi]
+			greedyPerQuery[qi] = delta
+			greedyTotal += delta
+			plan.Patched = true
+			continue
+		}
+		units = appendUnitsOf(units, qi, t, weightOf(weights, qi), warm)
+	}
 	place := func(u unit, delta float64) {
 		greedy[u.q] = append(greedy[u.q], u.leaves...)
 		greedyPerQuery[u.q] += delta
@@ -465,55 +486,69 @@ func (p *Plan) Validate(trees []*query.Tree) error {
 // maxPlannerEntries bounds the fleet plan cache: one entry per distinct
 // due set. Query cadences (service.Every) make the due set cycle through
 // a handful of combinations, so a small cache captures them all; beyond
-// the bound an arbitrary entry is evicted.
+// the bound the oldest stored entry is evicted.
 const maxPlannerEntries = 64
 
-// Planner is a caching fleet planner: like the engine's per-query plan
-// cache, it reuses a joint plan while the fleet's fingerprint — the set
-// of due queries, their per-leaf probability estimates, and the shared
-// warm cache state — has not drifted beyond Eps. Plans are kept per due
-// set, so fleets whose cadences cycle through a few due-set combinations
-// reuse each combination's plan.
+// Planner is a caching fleet planner. It keeps one joint plan per due
+// set, fingerprinted by what each query's schedule was placed against:
+// its per-leaf probability estimates and per-stream costs, plus the
+// shared warm cache state. Fleets whose cadences cycle through a few
+// due-set combinations reuse each combination's plan.
 //
-// Replanning is incremental: when the due set changes (a query was
-// registered or unregistered) or specific queries were marked stale
-// (MarkStale, driven by drift-detector trips), the planner patches the
-// best-overlapping cached plan — surviving queries keep their cached
-// schedules, re-committed into a fresh joint state, and only the added
-// or stale queries' units run through the greedy — instead of replanning
-// the whole fleet. A full replan remains the fallback whenever the
-// patched price exceeds what independent planning would pay.
+// Every plan is built one way. An exact fingerprint match returns the
+// cached plan. Otherwise every query of the base entry — this due set's
+// entry, else the cached entry sharing the most queries that are not
+// stale — keeps its cached schedule unless it was marked stale
+// (MarkStale, driven by drift-detector trips) or its fingerprint drifted
+// past Eps, and the joint greedy places every other query (registered,
+// stale or drifted) against the kept ones. A from-scratch plan is the
+// case where nothing is kept. So drift past Eps re-places only the
+// drifted queries. A kept schedule keeps the fingerprint it was placed
+// against, so a query is re-placed once its drift since it was last
+// placed passes Eps, or when its detector trips.
 type Planner struct {
-	// Eps is the per-leaf probability drift tolerated before re-planning
-	// (0 reuses only on exact match, negative disables reuse).
+	// Eps is the per-leaf probability drift, and relative per-stream cost
+	// drift, tolerated before a query's schedule is re-placed (0 keeps
+	// only exact matches, negative re-plans every query every time).
 	Eps float64
 
 	mu      sync.Mutex
 	entries map[string]*plannerEntry
 	stale   map[string]struct{}
 	patched int64
+	stored  uint64 // store counter; plannerEntry.seq orders base ties and evictions
 }
 
 // plannerEntry is one cached joint plan with its fingerprint.
 type plannerEntry struct {
 	keys  []string
 	index map[string]int // query id -> position in keys
-	probs [][]float64
-	costs [][]float64 // per-tree per-stream per-item costs
+	probs [][]float64    // per tree: the values its schedule was placed against
+	costs [][]float64    // per tree: per-stream per-item costs, likewise
 	warm  sched.Warm
 	plan  *Plan
+	seq   uint64 // store order: the latest store has the largest seq
+}
+
+// selection is the plan selectLocked builds for a due set, with what
+// storing it needs.
+type selection struct {
+	plan *Plan
+	own  *plannerEntry // the due set's cached entry, nil if none
+	base *plannerEntry // the entry the kept schedules come from
+	// kept holds, per tree, the schedule kept from base (nil: placed).
+	kept []sched.Schedule
+	// reused reports that plan runs own's schedules verbatim.
+	reused bool
 }
 
 // cacheKey joins the due-set ids (query ids cannot contain NUL).
 func cacheKey(keys []string) string { return strings.Join(keys, "\x00") }
 
-// Plan returns a joint plan for the keyed trees, reusing the cached one
-// for this due set when the fingerprint matches. On reuse with non-zero
-// drift the cached schedules are kept but re-priced under the current
-// probabilities. When the due set changed or contains stale ids, the
-// plan is patched incrementally from the best-overlapping cached entry
-// where possible (see Planner doc); reused is false for patched plans,
-// which report Plan.Patched instead.
+// Plan returns a joint plan for the keyed trees (see Planner). reused
+// reports that the plan runs this due set's cached schedules verbatim,
+// re-priced when they drifted within Eps; otherwise a plan that kept
+// some cached schedules reports Plan.Patched.
 func (pl *Planner) Plan(keys []string, trees []*query.Tree, warm sched.Warm) (plan *Plan, reused bool) {
 	return pl.PlanWeighted(keys, trees, nil, warm)
 }
@@ -530,183 +565,103 @@ func (pl *Planner) PlanWeighted(keys []string, trees []*query.Tree, weights []in
 
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	ent := pl.entries[key]
-	stale := 0
-	if len(pl.stale) > 0 {
-		for _, id := range keys {
-			if _, ok := pl.stale[id]; ok {
-				stale++
-			}
-		}
-	}
-	if ent != nil && stale == 0 && pl.Eps >= 0 && ent.warm.Equal(warm) {
-		if drift := fleetDrift(ent.probs, ent.costs, trees); drift <= pl.Eps {
-			if drift == 0 {
-				return ent.plan, true
-			}
-			// Keep the cached orders, re-price them jointly. The cached
-			// fingerprint is retained, so cumulative drift still forces
-			// a re-plan once it exceeds Eps.
-			prev := ent.plan
-			p := &Plan{
-				Queries:     make([]QueryPlan, len(trees)),
-				GreedyJoint: prev.GreedyJoint,
-				Patched:     prev.Patched,
-				Manifest:    prev.Manifest,
-			}
-			schedules := make([]sched.Schedule, len(trees))
-			for qi := range trees {
-				schedules[qi] = prev.Queries[qi].Schedule
-				p.IndependentExpected += sched.CostWarm(trees[qi], independentOrder(trees[qi], warm), warm)
-			}
-			perQuery, total := priceJoint(trees, schedules, warm)
-			for qi := range trees {
-				p.Queries[qi] = QueryPlan{Schedule: schedules[qi], Expected: perQuery[qi]}
-			}
-			p.Expected = total
-			ent.plan = p
-			return p, true
-		}
-		// Cumulative drift past Eps: fall through to a full replan.
-	} else if (ent == nil || stale > 0) && pl.Eps >= 0 {
-		if p := pl.patchLocked(ent, keys, trees, weights, warm); p != nil {
-			pl.storeLocked(key, keys, trees, warm, p)
+	s := pl.selectLocked(key, keys, trees, weights, warm)
+	switch {
+	case !s.reused:
+		pl.storeLocked(key, keys, trees, warm, s)
+		if s.plan.Patched {
 			pl.patched++
-			return p, false
 		}
+	case s.plan != s.own.plan:
+		// Every schedule was kept within Eps: the fingerprints they were
+		// placed against stay, and so does the plan's provenance.
+		s.plan.Patched = s.own.plan.Patched
+		s.own.plan = s.plan
 	}
-
-	p := planJoint(trees, weights, warm, false)
-	pl.storeLocked(key, keys, trees, warm, p)
-	return p, false
+	return s.plan, s.reused
 }
 
-// patchLocked attempts an incremental patch: the queries that survive
-// unchanged from the base entry keep their cached schedules, committed
-// into a fresh joint state, and only the remaining (added, stale, or
-// drifted) queries' units run through the greedy against that state. A
-// nil base picks the cached entry with the largest surviving overlap.
-// Returns nil — falling back to a full replan — when nothing survives,
-// when more than half the fleet needs fresh placement anyway, or when
-// the patched plan prices worse than independent planning.
-func (pl *Planner) patchLocked(base *plannerEntry, keys []string, trees []*query.Tree, weights []int, warm sched.Warm) *Plan {
-	pos := make(map[string]int, len(keys))
-	for qi, id := range keys {
-		pos[id] = qi
+// selectLocked builds the plan for a due set as the Planner doc describes
+// and writes no planner state, so PlanWeighted and QuoteJoint price a due
+// set the same way.
+func (pl *Planner) selectLocked(key string, keys []string, trees []*query.Tree, weights []int, warm sched.Warm) selection {
+	own := pl.entries[key]
+	if own != nil && pl.Eps >= 0 && own.warm.Equal(warm) && pl.unchangedLocked(own, keys, trees) {
+		return selection{plan: own.plan, own: own, reused: true}
 	}
-	if base == nil {
-		best := 0
-		for _, ent := range pl.entries {
-			overlap := 0
-			for _, id := range ent.keys {
-				if _, ok := pos[id]; !ok {
-					continue
-				}
-				if _, st := pl.stale[id]; !st {
-					overlap++
-				}
-			}
-			if overlap > best {
-				best = overlap
-				base = ent
+	s := selection{own: own, base: own}
+	if s.base == nil {
+		s.base = pl.baseLocked(keys)
+	}
+	keptAll := false
+	if s.base != nil && warmCompatible(s.base.warm, warm) {
+		s.kept = make([]sched.Schedule, len(keys))
+		keptAll = true
+		for qi, id := range keys {
+			bi, ok := s.base.index[id]
+			if ok && !pl.staleLocked(id) && trees[qi].Drift(s.base.probs[bi], s.base.costs[bi]) <= pl.Eps {
+				s.kept[qi] = s.base.plan.Queries[bi].Schedule
+			} else {
+				keptAll = false
 			}
 		}
 	}
-	if base == nil || !warmCompatible(base.warm, warm) {
-		return nil
-	}
-	survivors := 0
-	fromBase := make([]int, len(keys)) // current index -> base index, -1 = fresh
-	for qi, id := range keys {
-		fromBase[qi] = -1
-		bi, inBase := base.index[id]
-		if !inBase {
-			continue
-		}
-		if _, st := pl.stale[id]; st {
-			continue
-		}
-		if queryDrift(base.probs[bi], base.costs[bi], trees[qi]) > pl.Eps {
-			continue
-		}
-		fromBase[qi] = bi
-		survivors++
-	}
-	fresh := len(keys) - survivors
-	if survivors == 0 || 2*fresh > len(keys) {
-		return nil
-	}
-	st := newJointState(trees, warm)
-	schedules := make([]sched.Schedule, len(trees))
-	perQuery := make([]float64, len(trees))
-	total := 0.0
-	for qi := range trees {
-		bi := fromBase[qi]
-		if bi < 0 {
-			continue
-		}
-		s := base.plan.Queries[bi].Schedule
-		delta := st.appendUnit(unit{q: qi, leaves: s}, true)
-		schedules[qi] = s
-		perQuery[qi] = delta
-		total += delta
-	}
-	sc := greedyScratchPool.Get().(*greedyScratch)
-	units := sc.units[:0]
-	for qi := range trees {
-		if fromBase[qi] < 0 {
-			units = appendUnitsOf(units, qi, trees[qi], weightOf(weights, qi), warm)
-		}
-	}
-	placeGreedyHeap(st, units, sc, func(u unit, delta float64) {
-		schedules[u.q] = append(schedules[u.q], u.leaves...)
-		perQuery[u.q] += delta
-		total += delta
-	})
-	sc.units = units[:0]
-	greedyScratchPool.Put(sc)
-	st.release()
-	// Same best-of-two guardrail as a full plan: price the independently
-	// planned orders under the joint objective and keep the cheaper set,
-	// so a patch never prices worse than giving up on cross-query sharing.
-	p := &Plan{Queries: make([]QueryPlan, len(trees)), Expected: total, GreedyJoint: true, Patched: true}
-	indep := make([]sched.Schedule, len(trees))
-	for qi, t := range trees {
-		indep[qi] = independentOrder(t, warm)
-		p.IndependentExpected += sched.CostWarm(t, indep[qi], warm)
-	}
-	indepPerQuery, indepTotal := priceJoint(trees, indep, warm)
-	if indepTotal < total-1e-12 {
-		schedules, perQuery = indep, indepPerQuery
-		p.Expected = indepTotal
-		p.GreedyJoint = false
-	}
-	for qi := range trees {
-		p.Queries[qi] = QueryPlan{Schedule: schedules[qi], Expected: perQuery[qi]}
-	}
-	if p.Expected > p.IndependentExpected+1e-12 {
-		// The patched price drifted past what per-query planning would
-		// pay: stale enough that a full replan is worth its cost.
-		return nil
-	}
-	p.buildManifest(trees)
-	return p
+	s.plan = planJoint(trees, weights, s.kept, warm, false)
+	s.reused = s.base == own && keptAll && s.plan.GreedyJoint
+	return s
 }
 
-// storeLocked fingerprints the trees and stores the plan under the key,
-// copying the mutable inputs (callers reuse tree and warm buffers across
-// ticks), and clears the stale marks the stored plan absorbs.
-func (pl *Planner) storeLocked(key string, keys []string, trees []*query.Tree, warm sched.Warm, p *Plan) {
+// unchangedLocked reports that no query of the due set is stale and that
+// every fingerprint of its own entry matches exactly.
+func (pl *Planner) unchangedLocked(own *plannerEntry, keys []string, trees []*query.Tree) bool {
+	for qi, id := range keys {
+		if pl.staleLocked(id) || trees[qi].Drift(own.probs[qi], own.costs[qi]) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// baseLocked returns the cached entry sharing the most queries that are
+// not stale with the due set — the most recently stored on a tie — or
+// nil when none shares any.
+func (pl *Planner) baseLocked(keys []string) *plannerEntry {
+	var base *plannerEntry
+	best := 0
+	for _, ent := range pl.entries {
+		overlap := 0
+		for _, id := range keys {
+			if _, ok := ent.index[id]; ok && !pl.staleLocked(id) {
+				overlap++
+			}
+		}
+		if overlap > best || overlap == best && overlap > 0 && ent.seq > base.seq {
+			best, base = overlap, ent
+		}
+	}
+	return base
+}
+
+func (pl *Planner) staleLocked(id string) bool {
+	_, ok := pl.stale[id]
+	return ok
+}
+
+// storeLocked stores the selected plan under the key with each tree's
+// fingerprint — the base's for a schedule the plan kept, the current
+// values for one it placed — copying the mutable inputs (callers reuse
+// tree and warm buffers across ticks), and clears the stale marks the
+// stored plan absorbs. A new key in a full cache evicts the oldest
+// stored entry.
+func (pl *Planner) storeLocked(key string, keys []string, trees []*query.Tree, warm sched.Warm, s selection) {
 	probs := make([][]float64, len(trees))
 	costs := make([][]float64, len(trees))
 	for qi, t := range trees {
-		probs[qi] = make([]float64, len(t.Leaves))
-		for j := range t.Leaves {
-			probs[qi][j] = t.Leaves[j].Prob
-		}
-		costs[qi] = make([]float64, len(t.Streams))
-		for k := range t.Streams {
-			costs[qi][k] = t.Streams[k].Cost
+		if s.plan.GreedyJoint && s.kept != nil && s.kept[qi] != nil {
+			bi := s.base.index[keys[qi]]
+			probs[qi], costs[qi] = s.base.probs[bi], s.base.costs[bi]
+		} else {
+			probs[qi], costs[qi] = t.Fingerprint()
 		}
 	}
 	w := make(sched.Warm, len(warm))
@@ -722,12 +677,16 @@ func (pl *Planner) storeLocked(key string, keys []string, trees []*query.Tree, w
 		pl.entries = map[string]*plannerEntry{}
 	}
 	if _, exists := pl.entries[key]; !exists && len(pl.entries) >= maxPlannerEntries {
-		for k := range pl.entries {
-			delete(pl.entries, k)
-			break
+		oldest, seq := "", ^uint64(0)
+		for k, ent := range pl.entries {
+			if ent.seq < seq {
+				oldest, seq = k, ent.seq
+			}
 		}
+		delete(pl.entries, oldest)
 	}
-	pl.entries[key] = &plannerEntry{keys: ks, index: index, probs: probs, costs: costs, warm: w, plan: p}
+	pl.stored++
+	pl.entries[key] = &plannerEntry{keys: ks, index: index, probs: probs, costs: costs, warm: w, plan: s.plan, seq: pl.stored}
 	for _, id := range keys {
 		delete(pl.stale, id)
 	}
@@ -737,8 +696,8 @@ func (pl *Planner) storeLocked(key string, keys []string, trees []*query.Tree, w
 // longer be trusted — the id was (re)registered with possibly different
 // text, or a drift detector tripped on one of its predicates or streams.
 // Cached joint plans survive: the next Plan call whose due set contains
-// a stale id patches that id's slice of the plan incrementally (or falls
-// back to a full replan). Returns how many ids were newly marked.
+// a stale id re-places that id's schedule against the kept ones. Returns
+// how many ids were newly marked.
 func (pl *Planner) MarkStale(ids ...string) int {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -756,8 +715,9 @@ func (pl *Planner) MarkStale(ids ...string) int {
 	return n
 }
 
-// Patches returns how many Plan calls were served by an incremental
-// patch rather than a full replan.
+// Patches returns how many Plan calls kept some cached schedules and
+// placed the rest (Plan.Patched) rather than reusing or planning from
+// scratch.
 func (pl *Planner) Patches() int64 {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -778,7 +738,7 @@ func (pl *Planner) Invalidate() int {
 // warmCompatible reports whether two warm snapshots agree wherever they
 // overlap. Registry-driven shape changes — a registered or unregistered
 // query growing or shrinking a stream's snapshotted window — don't block
-// an incremental patch; disagreeing cached bits do.
+// keeping a schedule; disagreeing cached bits do.
 func warmCompatible(a, b sched.Warm) bool {
 	n := len(a)
 	if len(b) < n {
@@ -797,54 +757,4 @@ func warmCompatible(a, b sched.Warm) bool {
 		}
 	}
 	return true
-}
-
-// queryDrift returns one query's largest per-leaf probability change and
-// relative per-stream cost change |b/a - 1| against a cached fingerprint
-// (learned costs drift; see the engine's CostSource), or +Inf when the
-// shapes differ or a cost crosses zero. Only streams some leaf actually
-// reads are compared: a query's schedule and price cannot depend on the
-// cost of a stream it never touches, so a price shift elsewhere in the
-// registry must not drift it. Reading the tree directly keeps the reuse
-// path free of the per-call fingerprint materialization the seed planner
-// paid.
-func queryDrift(probs, costs []float64, t *query.Tree) float64 {
-	if len(probs) != len(t.Leaves) || len(costs) != len(t.Streams) {
-		return math.Inf(1)
-	}
-	d := 0.0
-	for j := range probs {
-		if dj := math.Abs(probs[j] - t.Leaves[j].Prob); dj > d {
-			d = dj
-		}
-	}
-	for _, lf := range t.Leaves {
-		k := int(lf.Stream)
-		switch b := t.Streams[k].Cost; {
-		case costs[k] == b:
-		case costs[k] <= 0:
-			return math.Inf(1)
-		default:
-			if dk := math.Abs(b-costs[k]) / costs[k]; dk > d {
-				d = dk
-			}
-		}
-	}
-	return d
-}
-
-// fleetDrift returns the largest queryDrift across the fleet, or +Inf
-// when the fleet shapes differ.
-func fleetDrift(probs, costs [][]float64, trees []*query.Tree) float64 {
-	if len(probs) != len(trees) || len(costs) != len(trees) {
-		return math.Inf(1)
-	}
-	d := 0.0
-	for qi, t := range trees {
-		qd := queryDrift(probs[qi], costs[qi], t)
-		if qd > d {
-			d = qd
-		}
-	}
-	return d
 }

@@ -14,6 +14,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -244,6 +245,50 @@ func (t *Tree) Clone() *Tree {
 		Leaves:  append([]Leaf(nil), t.Leaves...),
 	}
 	return c
+}
+
+// Fingerprint copies what a plan cache keys a schedule on: the tree's
+// per-leaf probabilities and per-stream per-item costs. Drift measures a
+// later annotation of the same tree against it.
+func (t *Tree) Fingerprint() (probs, costs []float64) {
+	probs = make([]float64, len(t.Leaves))
+	for j := range t.Leaves {
+		probs[j] = t.Leaves[j].Prob
+	}
+	costs = make([]float64, len(t.Streams))
+	for k := range t.Streams {
+		costs[k] = t.Streams[k].Cost
+	}
+	return probs, costs
+}
+
+// Drift returns how far the tree has moved from a Fingerprint: the largest
+// absolute per-leaf probability change and relative per-stream cost change
+// |b/a - 1| (learned costs drift), or +Inf when the shapes differ or a cost
+// falls to or rises from zero. Only streams some leaf reads are compared: a
+// schedule and its price cannot depend on the cost of a stream the query
+// never touches, so a price shift elsewhere in the registry must not drift
+// it.
+func (t *Tree) Drift(probs, costs []float64) float64 {
+	if len(probs) != len(t.Leaves) || len(costs) != len(t.Streams) {
+		return math.Inf(1)
+	}
+	d := 0.0
+	for j, lf := range t.Leaves {
+		if dj := math.Abs(probs[j] - lf.Prob); dj > d {
+			d = dj
+		}
+		switch a, b := costs[lf.Stream], t.Streams[lf.Stream].Cost; {
+		case a == b:
+		case a <= 0:
+			return math.Inf(1)
+		default:
+			if dk := math.Abs(b-a) / a; dk > d {
+				d = dk
+			}
+		}
+	}
+	return d
 }
 
 // StreamByName returns the ID of the stream with the given name.

@@ -744,12 +744,12 @@ func (s *Service) Unregister(id string) error {
 // touches the classes whose estimator-driven predicates include the
 // tripped key, a stream-cost trip the classes with a leaf on the stream.
 // A linear class's joint-plan entry is marked stale, so the next joint
-// plan patches exactly those classes (a shift broad enough to stale most
-// of the fleet falls back to a full replan); an adaptive class drops its
-// cached decision tree. One invalidation per class covers every
-// subscriber — a trip on a predicate shared by 10k twins costs one
-// replan, O(distinct shapes) per trip instead of O(fleet). This is the
-// only code that maps trips to plans. Caller holds the service lock.
+// plan re-places exactly those classes against the kept schedules of the
+// rest (see fleet.Planner); an adaptive class drops its cached decision
+// tree. One invalidation per class covers every subscriber — a trip on
+// a predicate shared by 10k twins costs one replan, O(distinct shapes)
+// per trip instead of O(fleet). This is the only code that maps trips to
+// plans. Caller holds the service lock.
 func (s *Service) drainTrips() {
 	s.tripMu.Lock()
 	trips := s.pendingTrips
@@ -1466,9 +1466,10 @@ type Counters struct {
 	FleetPlans             int64 `json:"fleet_plans"`
 	FleetPlanReuses        int64 `json:"fleet_plan_reuses"`
 	FleetPlannedExecutions int64 `json:"fleet_planned_executions"`
-	// FleetPlanIncremental counts the fleet plans produced by patching
-	// the previous joint plan — register/unregister/drift events absorbed
-	// without replanning the whole fleet (see fleet.Planner). PlanNanos
+	// FleetPlanIncremental counts the fleet plans that kept some classes'
+	// cached schedules and re-placed only the rest — register/unregister,
+	// detector trips and drift past the replan threshold absorbed without
+	// replanning the whole fleet (see fleet.Planner). PlanNanos
 	// is the cumulative wall-clock time spent in joint planning.
 	FleetPlanIncremental int64 `json:"plan_incremental"`
 	PlanNanos            int64 `json:"plan_ns"`
