@@ -13,7 +13,7 @@ type admitBenchRow struct {
 	Name string `json:"name"`
 	// AdmittedQuoteJPerTick is the summed marginal planned energy the
 	// run admitted — deterministic for the seeded corpus and gated by
-	// benchgate (a drift means the pricing dry run changed).
+	// benchgate (a drift means the admission pricing changed).
 	AdmittedQuoteJPerTick float64 `json:"admitted_quote_j_per_tick"`
 	// DecisionP50Ns / DecisionP99Ns are admission decision latency
 	// quantiles (quote + verdict + charge). Wall clock: reported for the

@@ -172,7 +172,7 @@ func (r *loadReport) Passed() bool {
 // templates are the distinct query shapes of the load mix. Twenty
 // shapes over the five wearables streams: a registration storm interns
 // most arrivals as twins (the cheap quote path) while the distinct
-// shapes exercise the joint-planner dry run.
+// shapes are priced against the joint planner's resident state.
 var templates = []string{
 	"AVG(heart-rate,5) > 100",
 	"AVG(heart-rate,5) > 100 AND spo2 < 95",

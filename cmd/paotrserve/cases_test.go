@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"paotr/internal/engine"
+	"paotr/internal/obs"
 	"paotr/internal/service"
 	"paotr/internal/stream"
 )
@@ -977,7 +979,100 @@ func e2eCases() []e2eCase {
 	}
 	cases = append(cases, obsCases()...)
 	cases = append(cases, admitCases()...)
-	return append(cases, remoteIDEscapeCase())
+	return append(cases, remoteIDEscapeCase(), remoteQuoteCase())
+}
+
+// remoteQuoteCase is E01102: a `-join` coordinator quotes admissions
+// against its workers' own fleets, so it charges tenant budgets what an
+// in-process sharded server charges. The same registrations — distinct
+// shapes and twins, some before any tick and some after — go to a
+// coordinator over two `-worker` processes and, replayed in the last
+// step, to an in-process `-shards 2` server. Every admit event on
+// /debug/events must carry the same quoted J/tick (before) on both,
+// within 1e-9.
+func remoteQuoteCase() e2eCase {
+	cfg := serviceConfig{
+		seed: 1, workers: 2, replan: 0.02, executor: "linear",
+		admit: true, admitRate: 1000, admitBurst: 1000,
+	}
+	var endpoints []string
+	reg := func(id, text string) e2eStep {
+		body, err := json.Marshal(map[string]string{"id": id, "query": text, "tier": "gold"})
+		if err != nil {
+			panic(err)
+		}
+		return e2eStep{"POST", "/queries", string(body), http.StatusCreated, nil}
+	}
+	steps := []e2eStep{
+		reg("t0/a", "AVG(heart-rate,5) > 100 AND spo2 < 95"),
+		reg("t0/b", "AVG(accelerometer,6) > 12 AND heart-rate > 90"),
+		reg("t1/a", "AVG(heart-rate,5) > 100 AND spo2 < 95"),
+		reg("t1/b", "gps-speed > 1.5 OR AVG(temperature,4) > 38"),
+		{"POST", "/tick", `{"steps":5}`, http.StatusOK, nil},
+		reg("t2/a", "AVG(heart-rate,8) > 95 AND AVG(spo2,4) < 94"),
+		reg("t2/b", "gps-speed > 1.5 OR AVG(temperature,4) > 38"),
+		reg("t2/c", "accelerometer > 15 OR spo2 < 90"),
+		{"POST", "/tick", `{"steps":3}`, http.StatusOK, nil},
+		reg("t3/a", "AVG(temperature,6) > 37.5 AND heart-rate > 85"),
+		reg("t3/b", "accelerometer > 15 OR spo2 < 90"),
+	}
+	events := "/debug/events?type=" + obs.EventAdmit + "&n=100"
+	quotes := func(t *testing.T, body []byte) map[string]float64 {
+		var resp eventsResponse
+		mustDecode(t, body, &resp)
+		out := map[string]float64{}
+		for _, ev := range resp.Events {
+			out[ev.Pred] = ev.Before
+		}
+		return out
+	}
+	compare := e2eStep{"GET", events, "", http.StatusOK, func(t *testing.T, body []byte) {
+		remote := quotes(t, body)
+		inproc := cfg
+		inproc.shards = 2
+		svc, err := newServiceWith(inproc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(newServer(svc, -1))
+		defer srv.Close()
+		for _, step := range steps {
+			resp, err := http.Post(srv.URL+step.path, "application/json", strings.NewReader(step.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != step.wantStatus {
+				t.Fatalf("in-process %s %s: status %d", step.path, step.body, resp.StatusCode)
+			}
+		}
+		resp, err := http.Get(srv.URL + events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := quotes(t, local)
+		regs := 0
+		for _, step := range steps {
+			if step.path == "/queries" {
+				regs++
+			}
+		}
+		if len(remote) != regs || len(want) != regs {
+			t.Fatalf("admit events: %d behind -join, %d in-process, want %d each", len(remote), len(want), regs)
+		}
+		for id, q := range want {
+			if got, ok := remote[id]; !ok || math.Abs(got-q) > 1e-9 {
+				t.Errorf("%s quoted %.12f J/tick behind -join, %.12f in-process", id, got, q)
+			}
+		}
+	}}
+	return e2eCase{caseID: "E01102", name: "remote workers quote against their own fleets",
+		server: remoteServer(cfg, &endpoints), steps: append(steps, compare)}
 }
 
 func mustDecode(t *testing.T, body []byte, out any) {

@@ -76,13 +76,14 @@
 //
 // The -admit flag (default on) gates registrations behind admission
 // control: every POST /queries is priced at its marginal joint cost (a
-// read-only dry run of the joint planner), charged against a per-tenant
-// token-bucket budget (-admit-rate J/tick refill, -admit-burst J cap;
-// the tenant is the id prefix before the first '/'), and tiered by the
-// request's "tier" field (gold, silver, or bronze — the default). Under
-// SLO burn (the last -admit-window ticks' p99 total-tick latency above
-// -admit-slo-gold-ms) bronze registrations are shed and silver deferred
-// while gold still admits; shed and deferred registrations get 429 with
+// read-only quote against the joint planner's resident state), charged
+// against a per-tenant token-bucket budget (-admit-rate J/tick refill,
+// -admit-burst J cap; the tenant is the id prefix before the first '/'),
+// and tiered by the request's "tier" field (gold, silver, or bronze —
+// the default). Under SLO burn (the last -admit-window ticks' p99
+// total-tick latency above -admit-slo-gold-ms) bronze registrations are
+// shed and silver deferred while gold still admits; shed and deferred
+// registrations get 429 with
 // a Retry-After hint and the quoted cost in the body, and deferred ones
 // are retried automatically at tick boundaries until budgets refill.
 // /metrics reports the backpressure state under "admission";

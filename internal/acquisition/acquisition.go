@@ -605,6 +605,22 @@ func (c *Cache) SnapshotInto(windows []int, out [][]bool) [][]bool {
 	return out
 }
 
+// NextSnapshotInto is SnapshotInto for the cache state the next tick
+// plans against: after Advance(1) and before anything is pulled. Item 1
+// is then not cached, and item t+1 is cached iff item t is cached now.
+// Admission quotes price a newcomer at this state, because the first
+// tick that runs it is the next one.
+func (c *Cache) NextSnapshotInto(windows []int, out [][]bool) [][]bool {
+	out = c.SnapshotInto(windows, out)
+	for _, row := range out {
+		if len(row) > 0 {
+			copy(row[1:], row)
+			row[0] = false
+		}
+	}
+	return out
+}
+
 // ResetAccounting zeroes the spent counter, pull counts and traffic
 // counters (the cache contents are preserved).
 func (c *Cache) ResetAccounting() {

@@ -2,8 +2,9 @@
 // service: it decides, for every incoming registration, whether the
 // fleet can afford it. The currency is the paper's own cost model — a
 // registration is priced by its marginal joint acquisition cost
-// (expected J per planned tick, quoted by fleet.QuoteJoint as the delta
-// of the patched joint plan over the resident plan), so a query that
+// (expected J per planned tick, quoted by fleet.Planner.Quote as the
+// delta of the joint plan that keeps every resident and places the
+// newcomer over the resident plan), so a query that
 // overlaps resident shapes and streams is nearly free while one that
 // drags in new streams pays its full independent price.
 //

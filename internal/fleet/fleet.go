@@ -32,8 +32,13 @@
 // greedy places the rest against them. The closed form does not depend on
 // placement order, so this minimises the same objective as a from-scratch
 // plan, which is the case where nothing is kept. Drift past Planner.Eps
-// therefore re-places only the drifted queries, and QuoteJoint prices
-// admissions through the same selection.
+// therefore re-places only the drifted queries.
+//
+// Planner also keeps a live joint state of its resident classes — per
+// (stream, item), the running product of (1 - P) over their current
+// schedules and over their independent orders — so Planner.Quote prices
+// an admission in O(the newcomer's leaves) instead of planning the fleet
+// twice (see quote.go).
 package fleet
 
 import (
@@ -136,6 +141,11 @@ type jointState struct {
 	nz [][][]int32
 	// cost[k] = per-item cost of stream k.
 	cost []float64
+	// bg, when set, holds per stream and item a factor every cross
+	// multiplies in: the resident classes' running product Π (1 - P) when
+	// a newcomer is priced against the resident joint state (see
+	// Planner.Quote). reset clears it.
+	bg [][]float64
 	// touch collects, between beginTouch and the end of the next committed
 	// appendUnit, the streams whose acc changed — the event set the heap
 	// planner reprices against. touchStamp dedupes per round.
@@ -227,6 +237,7 @@ func (st *jointState) reset(trees []*query.Tree, warm sched.Warm) {
 	st.touchStamp = intsGrown(st.touchStamp, len(st.cost))
 	st.touchRound = 0
 	st.touch = st.touch[:0]
+	st.bg = nil
 }
 
 // beginTouch starts a fresh touched-stream set for the next committed
@@ -240,6 +251,9 @@ func (st *jointState) beginTouch() {
 // acquire item d+1 of stream k.
 func (st *jointState) cross(q, k, d int) float64 {
 	p := 1.0
+	if st.bg != nil {
+		p = st.bg[k][d]
+	}
 	for _, q2 := range st.nz[k][d] {
 		if int(q2) == q {
 			continue
@@ -326,7 +340,8 @@ func independentOrder(t *query.Tree, warm sched.Warm) sched.Schedule {
 // For a single tree the joint plan degenerates to the engine's default
 // warm planner: same schedule, same expected cost.
 func PlanJoint(trees []*query.Tree, warm sched.Warm) *Plan {
-	return planJoint(trees, nil, nil, warm, false)
+	plan, _ := planJoint(trees, nil, nil, warm, false)
+	return plan
 }
 
 // PlanJointWeighted is PlanJoint over shape equivalence classes: tree qi
@@ -335,7 +350,8 @@ func PlanJoint(trees []*query.Tree, warm sched.Warm) *Plan {
 // selection-key ties — a factored shape executes once regardless of its
 // subscriber count, so the joint objective itself is weight-invariant.
 func PlanJointWeighted(trees []*query.Tree, weights []int, warm sched.Warm) *Plan {
-	return planJoint(trees, weights, nil, warm, false)
+	plan, _ := planJoint(trees, weights, nil, warm, false)
+	return plan
 }
 
 // planJoint builds every joint plan. Each tree qi with a non-nil kept[qi]
@@ -345,11 +361,12 @@ func PlanJointWeighted(trees []*query.Tree, weights []int, warm sched.Warm) *Pla
 // heap planner's tests compare against. The joint cost telescopes to its
 // closed form whatever the placement order, so keeping a schedule prices
 // the same objective as placing it afresh, and a nil kept is the
-// from-scratch plan.
-func planJoint(trees []*query.Tree, weights []int, kept []sched.Schedule, warm sched.Warm, quadratic bool) *Plan {
+// from-scratch plan. It also returns the guardrail's independent orders,
+// one per tree.
+func planJoint(trees []*query.Tree, weights []int, kept []sched.Schedule, warm sched.Warm, quadratic bool) (*Plan, []sched.Schedule) {
 	plan := &Plan{Queries: make([]QueryPlan, len(trees)), GreedyJoint: true}
 	if len(trees) == 0 {
-		return plan
+		return plan, nil
 	}
 
 	// Greedy joint order over the placed queries' AND units: place the unit
@@ -409,7 +426,7 @@ func planJoint(trees []*query.Tree, weights []int, kept []sched.Schedule, warm s
 		plan.Queries[qi] = QueryPlan{Schedule: schedules[qi], Expected: perQuery[qi]}
 	}
 	plan.buildManifest(trees)
-	return plan
+	return plan, indep
 }
 
 // PriceJoint prices fixed per-query schedules under the joint objective:
@@ -506,6 +523,14 @@ const maxPlannerEntries = 64
 // drifted queries. A kept schedule keeps the fingerprint it was placed
 // against, so a query is re-placed once its drift since it was last
 // placed passes Eps, or when its detector trips.
+//
+// The Planner also holds the resident joint state admissions are quoted
+// against (see Quote): every class it placed or admitted, with the cold
+// acquisition probabilities of its current schedule and of its
+// independent order. Admit adds a class, Remove drops one, and a plan
+// refreshes exactly the classes it re-placed — all of them when the
+// guardrail took the independent orders. Stale or drifted classes are
+// refreshed when a plan re-places them, not by a quote.
 type Planner struct {
 	// Eps is the per-leaf probability drift, and relative per-stream cost
 	// drift, tolerated before a query's schedule is re-placed (0 keeps
@@ -517,6 +542,7 @@ type Planner struct {
 	stale   map[string]struct{}
 	patched int64
 	stored  uint64 // store counter; plannerEntry.seq orders base ties and evictions
+	res     residentState
 }
 
 // plannerEntry is one cached joint plan with its fingerprint.
@@ -538,6 +564,8 @@ type selection struct {
 	base *plannerEntry // the entry the kept schedules come from
 	// kept holds, per tree, the schedule kept from base (nil: placed).
 	kept []sched.Schedule
+	// indep holds the guardrail's independent order of every tree.
+	indep []sched.Schedule
 	// reused reports that plan runs own's schedules verbatim.
 	reused bool
 }
@@ -572,6 +600,14 @@ func (pl *Planner) PlanWeighted(keys []string, trees []*query.Tree, weights []in
 		if s.plan.Patched {
 			pl.patched++
 		}
+		// Refresh the resident state with the classes this plan re-placed:
+		// every class when the guardrail took the independent orders.
+		for qi, t := range trees {
+			if !s.plan.GreedyJoint || s.kept == nil || s.kept[qi] == nil {
+				pl.res.set(keys[qi], t, s.plan.Queries[qi].Schedule, s.indep[qi])
+			}
+		}
+		pl.res.resum()
 	case s.plan != s.own.plan:
 		// Every schedule was kept within Eps: the fingerprints they were
 		// placed against stay, and so does the plan's provenance.
@@ -582,8 +618,7 @@ func (pl *Planner) PlanWeighted(keys []string, trees []*query.Tree, weights []in
 }
 
 // selectLocked builds the plan for a due set as the Planner doc describes
-// and writes no planner state, so PlanWeighted and QuoteJoint price a due
-// set the same way.
+// and writes no planner state.
 func (pl *Planner) selectLocked(key string, keys []string, trees []*query.Tree, weights []int, warm sched.Warm) selection {
 	own := pl.entries[key]
 	if own != nil && pl.Eps >= 0 && own.warm.Equal(warm) && pl.unchangedLocked(own, keys, trees) {
@@ -606,7 +641,7 @@ func (pl *Planner) selectLocked(key string, keys []string, trees []*query.Tree, 
 			}
 		}
 	}
-	s.plan = planJoint(trees, weights, s.kept, warm, false)
+	s.plan, s.indep = planJoint(trees, weights, s.kept, warm, false)
 	s.reused = s.base == own && keptAll && s.plan.GreedyJoint
 	return s
 }

@@ -12,7 +12,8 @@ import (
 // planJointReference plans with the seed O(u²) selection scan instead of
 // the lazy heap: the oracle the heap planner must match byte for byte.
 func planJointReference(trees []*query.Tree, weights []int, warm sched.Warm) *Plan {
-	return planJoint(trees, weights, nil, warm, true)
+	plan, _ := planJoint(trees, weights, nil, warm, true)
+	return plan
 }
 
 // samePlan asserts two joint plans are byte-identical: same schedules

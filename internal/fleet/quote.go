@@ -1,21 +1,30 @@
 // Marginal-cost quoting: the admission controller's price oracle. A
 // quote answers "what would the fleet's joint expected cost become if
-// this query joined?" without admitting it. It builds both plans the way
-// PlanWeighted does — an exact fingerprint match is the cached plan, and
-// otherwise the base entry's schedules that are not stale and within Eps
-// are kept while the greedy places the rest — and returns the delta of
-// the plan with the newcomer over the resident plan. So a quote, like a
-// tick, re-places only residents that drifted past Eps since they were
-// last placed, or whose detector tripped. Because the greedy's
-// incremental accounting telescopes, appending the newcomer's units last
-// against the residents' committed schedules prices exactly the marginal
-// cost of its membership: near zero when it overlaps resident shapes and
-// streams, the full independent price when it drags in streams nobody
-// else reads. An empty resident fleet prices to zero, so the first
-// query's quote is its own joint price.
+// this query joined?" without admitting it, against the Planner's
+// resident joint state (see resident.go) rather than by planning the
+// fleet twice.
 //
-// QuoteJoint is a strict dry run. It never stores an entry, never
-// clears a stale mark, and never touches a cached plan in place, so a
+// The quote is the delta PlanWeighted realizes when it keeps every
+// resident's current schedule and places the newcomer. Because the joint
+// cost telescopes to its closed form, keeping the residents costs G, the
+// resident total over their current schedules, and placing the
+// newcomer's AND units greedily against their per-item products G(k, d)
+// adds g. The guardrail's side costs I + i: I over the residents'
+// independent orders, i the newcomer's independent order against their
+// products I(k, d). So the quote is max(min(G+g, I+i) - G, 0). The state
+// keeps per-stream sums of G and I against the cache state of the last
+// admission, so a quote reads only the products on the newcomer's items,
+// O(the newcomer's leaves) however large the fleet. When the cache state
+// has moved since, it sums each resident item once instead: bounded by
+// the streams' windows, not by the number of classes. The price is near
+// zero when the newcomer overlaps resident shapes and streams, and its
+// full independent price when it drags in streams nobody else reads. An
+// empty resident state prices the first query at its own joint price.
+//
+// The state refreshes a class only when a plan re-places it, so a
+// resident that went stale or drifted since its last placement is priced
+// at the schedule it still holds: the next tick re-places it, not the
+// quote. Quote is a strict dry run: it writes no planner state, so a
 // quote followed by a rejection leaves the planner byte-identical to
 // never having asked (pinned by TestQuoteThenRejectLeavesPlansIdentical).
 package fleet
@@ -25,27 +34,42 @@ import (
 	"paotr/internal/sched"
 )
 
-// QuoteJoint prices the marginal joint cost, in expected J per planned
-// tick, of adding the query (key, tree) to the resident due set (keys,
-// trees, weights) — planner state is read but never written. Both sides
-// are built by the selection PlanWeighted runs, so the quote is the
-// difference between the plan the planner would build on the first tick
-// after admission and the resident plan, and an admitted query's
-// realized plan delta matches its quote to within Eps drift. Weights
-// follow PlanWeighted semantics (nil: all 1); the newcomer is quoted at
-// weight 1. Quotes are clamped to >= 0: a newcomer whose overlap makes
-// the joint plan cheaper than the resident plan is free, not negative.
-func (pl *Planner) QuoteJoint(keys []string, trees []*query.Tree, weights []int, warm sched.Warm, key string, tree *query.Tree) float64 {
-	allKeys := append(append(make([]string, 0, len(keys)+1), keys...), key)
-	allTrees := append(append(make([]*query.Tree, 0, len(trees)+1), trees...), tree)
-	var allWeights []int
-	if weights != nil {
-		allWeights = append(append(make([]int, 0, len(weights)+1), weights...), 1)
-	}
-
+// Quote prices the marginal joint cost, in expected J per planned tick,
+// of adding tree to the resident classes at cache state warm, with the
+// tree's per-item costs. Planner state is read but never written. The
+// marginal equals the delta of the plan that keeps every resident's
+// current schedule and places the newcomer (see the file doc), clamped
+// to >= 0: a newcomer whose overlap makes the joint plan cheaper than the
+// resident plan is free, not negative. alone is the tree's price planned
+// on its own at warm — the no-sharing price the marginal discounts, equal
+// to PlanJoint's for a one-tree fleet. warm should cover the resident
+// items: an item past its rows reads as uncached.
+func (pl *Planner) Quote(tree *query.Tree, warm sched.Warm) (marginal, alone float64) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	resident := pl.selectLocked(cacheKey(keys), keys, trees, weights, warm).plan
-	withNew := pl.selectLocked(cacheKey(allKeys), allKeys, allTrees, allWeights, warm).plan
-	return max(withNew.Expected-resident.Expected, 0)
+	pr := pl.res.price(tree, warm, false)
+	return pr.quote, pr.alone
+}
+
+// Admit adds class key, whose query is tree, to the resident state: it
+// commits the greedy placement its Quote at warm priced, and its
+// independent order at warm. The next plan that re-places the class
+// refreshes both. Admitting a resident key replaces its schedules.
+func (pl *Planner) Admit(key string, tree *query.Tree, warm sched.Warm) {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	r := &pl.res
+	pr := r.price(tree, warm, true)
+	r.set(key, tree, pr.placed, pr.indep)
+	r.rebase(warm)
+	r.resum()
+}
+
+// Remove drops class key from the resident state (a no-op when it is not
+// resident). Cached plans are left alone: a due set without the class
+// misses its cache key, and the next plan keeps the rest.
+func (pl *Planner) Remove(key string) {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	pl.res.remove(key)
 }

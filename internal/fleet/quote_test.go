@@ -12,8 +12,32 @@ import (
 	"paotr/internal/sched"
 )
 
+// QuoteJoint is the oracle Quote is pinned against: it prices adding the
+// query (key, tree) to the resident due set (keys, trees, weights) as the
+// difference of two joint plans, each built by the selection PlanWeighted
+// runs — an exact fingerprint match is the cached plan, and otherwise the
+// base entry's schedules that are not stale and within Eps are kept while
+// the greedy places the rest. Unlike Quote it re-places stale and drifted
+// residents inside the quote. Planner state is read but never written;
+// the newcomer is quoted at weight 1 and the delta clamped to >= 0.
+func (pl *Planner) QuoteJoint(keys []string, trees []*query.Tree, weights []int, warm sched.Warm, key string, tree *query.Tree) float64 {
+	allKeys := append(append(make([]string, 0, len(keys)+1), keys...), key)
+	allTrees := append(append(make([]*query.Tree, 0, len(trees)+1), trees...), tree)
+	var allWeights []int
+	if weights != nil {
+		allWeights = append(append(make([]int, 0, len(weights)+1), weights...), 1)
+	}
+
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	resident := pl.selectLocked(cacheKey(keys), keys, trees, weights, warm).plan
+	withNew := pl.selectLocked(cacheKey(allKeys), allKeys, allTrees, allWeights, warm).plan
+	return max(withNew.Expected-resident.Expected, 0)
+}
+
 // dumpPlanner renders every observable piece of planner state — cached
-// entries with their fingerprints and plans, plus the stale set — into
+// entries with their fingerprints and plans, the stale set, and the
+// resident joint state with its classes, products, sums and basis — into
 // one deterministic string, so state equality is byte equality.
 func dumpPlanner(pl *Planner) string {
 	pl.mu.Lock()
@@ -39,6 +63,20 @@ func dumpPlanner(pl *Planner) string {
 	}
 	sort.Strings(stale)
 	fmt.Fprintf(&b, "stale=%v patched=%d\n", stale, pl.patched)
+	r := &pl.res
+	resident := make([]string, 0, len(r.classes))
+	for k := range r.classes {
+		resident = append(resident, k)
+	}
+	sort.Strings(resident)
+	for _, k := range resident {
+		rc := r.classes[k]
+		fmt.Fprintf(&b, "resident %q g=%v i=%v\n", k, rc.g, rc.i)
+	}
+	for k := range r.g {
+		fmt.Fprintf(&b, "stream %d G=%v I=%v sums=%v/%v touched=%v\n", k, r.g[k], r.i[k], r.sumG[k], r.sumI[k], r.touched[k])
+	}
+	fmt.Fprintf(&b, "basis=%v\n", r.warm)
 	return b.String()
 }
 
@@ -66,7 +104,7 @@ func TestQuoteThenRejectLeavesPlansIdentical(t *testing.T) {
 		}
 
 		before := dumpPlanner(pl)
-		quote := pl.QuoteJoint(keys, trees, nil, warm, "newcomer", newcomer)
+		quote, _ := pl.Quote(newcomer, warm)
 		if math.IsNaN(quote) || quote < 0 {
 			t.Fatalf("trial %d: bad quote %v", trial, quote)
 		}
@@ -81,9 +119,11 @@ func TestQuoteThenRejectLeavesPlansIdentical(t *testing.T) {
 	}
 }
 
-// TestQuoteMatchesFromScratchDelta checks quote accuracy against the
-// ground truth on a cold planner: with nothing cached, the quote must
-// equal the from-scratch joint-plan delta exactly.
+// TestQuoteMatchesFromScratchDelta checks the QuoteJoint oracle against
+// the ground truth on a cold planner: with nothing cached, it must equal
+// the from-scratch joint-plan delta exactly. (A cold planner has no
+// residents for Quote to price against; TestQuoteMatchesOracle carries
+// the admission invariant.)
 func TestQuoteMatchesFromScratchDelta(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 5))
 	for trial := 0; trial < 60; trial++ {
@@ -123,7 +163,7 @@ func TestQuoteMatchesRealizedPatchDelta(t *testing.T) {
 
 		pl := &Planner{Eps: 0.05}
 		residentPlan, _ := pl.Plan(keys, trees, warm)
-		quote := pl.QuoteJoint(keys, trees, nil, warm, "newcomer", newcomer)
+		quote, _ := pl.Quote(newcomer, warm)
 
 		allKeys := append(append([]string{}, keys...), "newcomer")
 		allTrees := append(append([]*query.Tree{}, trees...), newcomer)
@@ -162,11 +202,11 @@ func TestQuoteOverlapDiscount(t *testing.T) {
 	trees := []*query.Tree{resident}
 	pl.Plan(keys, trees, warm)
 
-	if q := pl.QuoteJoint(keys, trees, nil, warm, "twin", twin); q > 1e-9 {
+	if q, _ := pl.Quote(twin, warm); q > 1e-9 {
 		t.Fatalf("twin of a resident shape quoted %v, want 0", q)
 	}
 	indep := PlanJoint([]*query.Tree{disjoint}, warm).Expected
-	if q := pl.QuoteJoint(keys, trees, nil, warm, "disjoint", disjoint); math.Abs(q-indep) > 1e-9 {
+	if q, _ := pl.Quote(disjoint, warm); math.Abs(q-indep) > 1e-9 {
 		t.Fatalf("disjoint query quoted %v, want its independent price %v", q, indep)
 	}
 }
@@ -179,7 +219,7 @@ func TestQuoteEmptyFleet(t *testing.T) {
 	warm := randomWarm(rng, trees)
 	pl := &Planner{Eps: 0.05}
 	want := PlanJoint(trees, warm).Expected
-	if q := pl.QuoteJoint(nil, nil, nil, warm, "first", trees[0]); math.Abs(q-want) > 1e-9 {
+	if q, _ := pl.Quote(trees[0], warm); math.Abs(q-want) > 1e-9 {
 		t.Fatalf("empty-fleet quote %v, want %v", q, want)
 	}
 }

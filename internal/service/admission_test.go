@@ -3,11 +3,14 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
 	"paotr/internal/admit"
+	"paotr/internal/engine"
 	"paotr/internal/obs"
 )
 
@@ -41,7 +44,10 @@ func pinnedFleetQueries() []string {
 // match the joint-plan cost delta the fleet realizes when the query is
 // actually registered — the admission pricing acceptance criterion.
 // Probabilities are pinned so the only difference between the treated
-// and control runs is the admitted newcomer.
+// and control runs is the admitted newcomer. The probes are quoted after
+// three ticks, so they catch a quote priced at the wrong cache state:
+// the newcomer first runs after the next tick's Advance, when item 1 of
+// every stream is uncached and every cached item has aged one step.
 func TestQuoteRegisterMatchesRealizedDelta(t *testing.T) {
 	build := func() *Service {
 		s := New(testRegistry(5))
@@ -53,37 +59,56 @@ func TestQuoteRegisterMatchesRealizedDelta(t *testing.T) {
 		s.Run(3)
 		return s
 	}
-	// Overlaps resident windows on heart-rate and spo2 but adds its own
-	// temperature read — a partial overlap discount.
-	const newcomer = "AVG(heart-rate,8) > 95 [p=0.5] AND AVG(temperature,6) > 22 [p=0.35]"
+	probes := []struct {
+		newcomer string
+		// discount marks a probe that partially overlaps resident windows,
+		// so its marginal must be strictly below its independent price.
+		discount bool
+	}{
+		// Overlaps resident windows on heart-rate and spo2 but adds its own
+		// temperature read — a partial overlap discount.
+		{"AVG(heart-rate,8) > 95 [p=0.5] AND AVG(temperature,6) > 22 [p=0.35]", true},
+		{"AVG(heart-rate,10) > 95 [p=0.5]", false},
+		{"accelerometer > 5 [p=0.9] AND spo2 < 99 [p=0.5]", false},
+		{"heart-rate > 95 [p=0.5]", false},
+		{"gps-speed < 0.5 [p=0.5]", false},
+		{"AVG(gps-speed,4) < 0.5 [p=0.5] OR temperature > 22 [p=0.5]", false},
+		{"temperature > 22 [p=0.5]", false},
+	}
+	for _, p := range probes {
+		t.Run(p.newcomer, func(t *testing.T) {
+			s := build()
+			quote, err := s.QuoteRegister("x", p.newcomer)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := s.Metrics().FleetExpectedCost
+			if err := s.Register("x", p.newcomer); err != nil {
+				t.Fatal(err)
+			}
+			s.Tick()
+			after := s.Metrics().FleetExpectedCost
 
-	s := build()
-	quote, err := s.QuoteRegister("x", newcomer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := s.Metrics().FleetExpectedCost
-	if err := s.Register("x", newcomer); err != nil {
-		t.Fatal(err)
-	}
-	s.Tick()
-	after := s.Metrics().FleetExpectedCost
-
-	// FleetExpectedCost accumulates per tick; the tick after admission
-	// adds (resident + newcomer) while a control service without the
-	// newcomer adds just resident. Compare against that control.
-	ctl := build()
-	cb := ctl.Metrics().FleetExpectedCost
-	ctl.Tick()
-	delta := (after - before) - (ctl.Metrics().FleetExpectedCost - cb)
-	if math.Abs(delta-quote.MarginalJPerTick) > 1e-6 {
-		t.Fatalf("quote %.9f J/tick, realized joint-plan delta %.9f", quote.MarginalJPerTick, delta)
-	}
-	if quote.MarginalJPerTick > quote.IndependentJPerTick+1e-9 {
-		t.Fatalf("marginal %.9f above independent %.9f", quote.MarginalJPerTick, quote.IndependentJPerTick)
-	}
-	if quote.MarginalJPerTick >= quote.IndependentJPerTick-1e-9 {
-		t.Fatalf("no overlap discount: marginal %.9f, independent %.9f", quote.MarginalJPerTick, quote.IndependentJPerTick)
+			// FleetExpectedCost accumulates per tick; the tick after admission
+			// adds (resident + newcomer) while a control service without the
+			// newcomer adds just resident. Compare against that control.
+			ctl := build()
+			cb := ctl.Metrics().FleetExpectedCost
+			ctl.Tick()
+			delta := (after - before) - (ctl.Metrics().FleetExpectedCost - cb)
+			if math.Abs(delta-quote.MarginalJPerTick) > 1e-6 {
+				t.Fatalf("quote %.9f J/tick, realized joint-plan delta %.9f", quote.MarginalJPerTick, delta)
+			}
+			if quote.IndependentJPerTick <= 0 {
+				t.Fatalf("independent price %.9f, want > 0: planned alone at the next tick it pays for item 1", quote.IndependentJPerTick)
+			}
+			if quote.MarginalJPerTick > quote.IndependentJPerTick+1e-9 {
+				t.Fatalf("marginal %.9f above independent %.9f", quote.MarginalJPerTick, quote.IndependentJPerTick)
+			}
+			if p.discount && quote.MarginalJPerTick >= quote.IndependentJPerTick-1e-9 {
+				t.Fatalf("no overlap discount: marginal %.9f, independent %.9f", quote.MarginalJPerTick, quote.IndependentJPerTick)
+			}
+		})
 	}
 }
 
@@ -325,5 +350,117 @@ func TestGateUnregisterCancelsDeferred(t *testing.T) {
 	}
 	if ids := g.DeferredIDs(); len(ids) != 0 {
 		t.Fatalf("defer queue after cancel: %v", ids)
+	}
+}
+
+// residentCheck audits a service's resident joint state against its live
+// linear shape classes (see fleet.Planner.CheckResident).
+func residentCheck(s *Service) error {
+	s.mu.Lock()
+	var keys []string
+	for _, c := range s.classList {
+		if _, adaptive := s.executorFor(c.members[0]).(engine.AdaptiveExecutor); !adaptive {
+			keys = append(keys, c.planKey)
+		}
+	}
+	s.mu.Unlock()
+	return s.planner.CheckResident(keys)
+}
+
+// TestAdmissionRaceKeepsResidentState races goroutines that register
+// distinct shapes and twins, unregister, quote and tick through an
+// AdmissionGate, once over a Service and once over a 2-shard Sharded.
+// Every tick must run each due query once, and at the end every worker's
+// resident joint state must match a rebuild of its live linear classes.
+func TestAdmissionRaceKeepsResidentState(t *testing.T) {
+	twins := []string{
+		"AVG(heart-rate,5) > 100 AND spo2 < 95",
+		"gps-speed > 1.5 OR AVG(temperature,4) > 38",
+		"accelerometer > 15 OR spo2 < 90",
+	}
+	rounds := 60
+	if testing.Short() {
+		rounds = 20
+	}
+	cfg := admitConfig()
+	cfg.RefillJPerTick, cfg.BurstJ = 1e6, 1e6
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var rt Runtime
+			var locals []*Service
+			if shards == 1 {
+				s := New(testRegistry(13), WithWorkers(2))
+				rt, locals = s, []*Service{s}
+			} else {
+				sh := NewSharded(testRegistry(13), shards, WithWorkers(2))
+				rt = sh
+				for i := range shards {
+					locals = append(locals, sh.Shard(i))
+				}
+			}
+			g := NewAdmissionGate(rt, admit.NewController(cfg))
+			const writers = 4
+			var wg sync.WaitGroup
+			for w := range writers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var mine []string
+					for i := range rounds {
+						id := fmt.Sprintf("t%d/q%d", w, i)
+						text := twins[(w+i)%len(twins)]
+						if i%2 == 0 {
+							text = fmt.Sprintf("AVG(heart-rate,%d) > %d AND spo2 < 9%d", 1+(w+i)%8, 60+w*rounds+i, i%10)
+						}
+						if _, err := g.QuoteRegister(id+"/probe", text); err != nil {
+							t.Error(err)
+							return
+						}
+						if err := g.RegisterTier(id, text, admit.TierGold); err != nil {
+							t.Error(err)
+							return
+						}
+						mine = append(mine, id)
+						if i%3 == 2 {
+							if err := g.Unregister(mine[0]); err != nil {
+								t.Error(err)
+								return
+							}
+							mine = mine[1:]
+						}
+						if i%4 == w {
+							res := g.Tick()
+							seen := map[string]bool{}
+							for _, e := range res.Executions {
+								if seen[e.ID] || e.Err != "" {
+									t.Errorf("tick %d: execution %+v duplicated or failed", res.Tick, e)
+								}
+								seen[e.ID] = true
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			live := map[string]bool{}
+			for _, id := range g.QueryIDs() {
+				live[id] = true
+			}
+			res := g.Tick()
+			if len(res.Executions) != len(live) {
+				t.Fatalf("final tick ran %d executions for %d live queries", len(res.Executions), len(live))
+			}
+			for _, e := range res.Executions {
+				if !live[e.ID] || e.Err != "" {
+					t.Errorf("final tick execution %+v", e)
+				}
+				delete(live, e.ID)
+			}
+			for i, s := range locals {
+				if err := residentCheck(s); err != nil {
+					t.Errorf("shard %d: %v", i, err)
+				}
+			}
+		})
 	}
 }

@@ -29,9 +29,9 @@ func Example() {
 }
 
 // ExampleAdmissionGate prices a registration by its marginal joint cost
-// and enforces the tenant's energy budget: the gate quotes the
-// incremental planner's dry run, charges the token bucket on admit, and
-// parks over-budget registrations until refills cover them.
+// and enforces the tenant's energy budget: the gate quotes it against
+// the joint planner's resident state, charges the token bucket on
+// admit, and parks over-budget registrations until refills cover them.
 func ExampleAdmissionGate() {
 	cfg := admit.DefaultConfig()
 	cfg.RefillJPerTick = 1

@@ -1,17 +1,19 @@
 // Marginal-cost quoting on the serving runtimes: QuoteRegister prices a
 // registration without performing it, the read-only front half of
-// admission control. The plain service quotes against its own resident
-// fleet via fleet.QuoteJoint (a strict dry run on the joint planner);
-// the sharded coordinator routes the quote to the shard the query would
-// be placed on, so the price reflects the sharing actually available
-// there.
+// admission control. The plain service prices the newcomer against its
+// planner's resident joint state (fleet.Planner.Quote) in O(the
+// newcomer's leaves), at the cache state the next tick plans against: the
+// newcomer first runs after that tick's Advance. Stale or drifted
+// residents are re-placed by that tick, not by the quote. The sharded
+// coordinator routes the quote to the worker the query would be placed
+// on, in-process or remote, so the price reflects the sharing actually
+// available there.
 package service
 
 import (
 	"fmt"
 
 	"paotr/internal/engine"
-	"paotr/internal/fleet"
 	"paotr/internal/query"
 	"paotr/internal/sched"
 )
@@ -20,12 +22,16 @@ import (
 // the fleet's planned acquisition energy.
 type Quote struct {
 	// MarginalJPerTick is the quoted marginal joint cost: the expected
-	// J/tick the patched joint plan including the newcomer costs over the
-	// resident plan. Zero for a twin of a resident shape.
+	// J/tick the joint plan that keeps every resident class's current
+	// schedule and places the newcomer costs over the resident plan, at
+	// the next tick's cache state. Residents that went stale or drifted
+	// are re-placed by that tick, not by the quote. Zero for a twin of a
+	// resident shape.
 	MarginalJPerTick float64 `json:"marginal_j_per_tick"`
 	// IndependentJPerTick is what the same query would cost planned
-	// alone — the no-sharing price. The gap to MarginalJPerTick is the
-	// overlap discount the resident fleet grants the newcomer.
+	// alone at the next tick — the no-sharing price. The gap to
+	// MarginalJPerTick is the overlap discount the resident fleet grants
+	// the newcomer.
 	IndependentJPerTick float64 `json:"independent_j_per_tick"`
 	// SharedShape reports an exact twin: the query interns into an
 	// already-resident shape class and executes by fan-out, adding no
@@ -36,9 +42,10 @@ type Quote struct {
 // QuoteRegister prices registering (id, text, opts) against the current
 // fleet without registering it and without mutating any planner or
 // cache state. The id must be free; the text must compile. The quote
-// equals the joint-plan delta the planner realizes if the query is
-// admitted (see fleet.QuoteJoint), so admission control can spend
-// budgets in the same currency the planner accounts in.
+// equals the joint-plan delta the next tick realizes if the query is
+// admitted and no resident went stale or drifted meanwhile (see
+// fleet.Planner.Quote), so admission control can spend budgets in the
+// same currency the planner accounts in.
 func (s *Service) QuoteRegister(id, text string, opts ...QueryOption) (Quote, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -63,87 +70,41 @@ func (s *Service) QuoteRegister(id, text string, opts ...QueryOption) (Quote, er
 		// A twin of a resident shape: it runs the class's query and shares
 		// the leader's execution and plan, so its marginal planned cost is
 		// zero.
-		return Quote{SharedShape: true, IndependentJPerTick: s.independentPriceLocked(c.q.Tree())}, nil
+		_, alone := s.planner.Quote(s.nextTreeLocked(c.q))
+		return Quote{SharedShape: true, IndependentJPerTick: alone}, nil
 	}
-
-	// The independent price is taken on a fresh copy: independentPrice-
-	// Locked and the joint dry run below each apply the relay cost
-	// scaling once, and it must not compound on a shared tree.
-	tree := q.Tree()
-	quote := Quote{IndependentJPerTick: s.independentPriceLocked(q.Tree())}
+	marginal, alone := s.planner.Quote(s.nextTreeLocked(q))
 	if _, adaptive := s.executorFor(r).(engine.AdaptiveExecutor); adaptive {
 		// Non-linear executors do not participate in the joint plan;
 		// their marginal cost is their independent price.
-		quote.MarginalJPerTick = quote.IndependentJPerTick
-		return quote, nil
+		marginal = alone
 	}
-
-	// Assemble the resident linear fleet the joint planner would see —
-	// one prob-annotated tree per shape class, in classList (due-set)
-	// order — plus the newcomer, and dry-run the patch.
-	keys := make([]string, 0, len(s.classList))
-	trees := make([]*query.Tree, 0, len(s.classList))
-	weights := make([]int, 0, len(s.classList))
-	need := make([]int, s.reg.Len())
-	for _, c := range s.classList {
-		if _, adaptive := s.executorFor(c.members[0]).(engine.AdaptiveExecutor); adaptive {
-			continue
-		}
-		t := c.q.Tree()
-		keys = append(keys, c.planKey)
-		trees = append(trees, t)
-		weights = append(weights, len(c.members))
-		growNeed(need, t)
-	}
-	growNeed(need, tree)
-	s.scaleTreeCosts(trees)
-	s.scaleTreeCosts([]*query.Tree{tree})
-	warm := sched.Warm(s.cache.SnapshotInto(need, nil))
-	quote.MarginalJPerTick = s.planner.QuoteJoint(keys, trees, weights, warm, s.planKeyLocked(q.ShapeHash()), tree)
-	return quote, nil
+	return Quote{MarginalJPerTick: marginal, IndependentJPerTick: alone}, nil
 }
 
-// independentPriceLocked prices one tree planned alone under the
-// current cache warm state. Caller holds the service lock.
-func (s *Service) independentPriceLocked(tree *query.Tree) float64 {
-	need := make([]int, s.reg.Len())
-	growNeed(need, tree)
-	s.scaleTreeCosts([]*query.Tree{tree})
-	warm := sched.Warm(s.cache.SnapshotInto(need, nil))
-	p := fleet.PlanJoint([]*query.Tree{tree}, warm)
-	return p.Expected
-}
-
-// growNeed widens the per-stream item horizon to cover the tree.
-func growNeed(need []int, t *query.Tree) {
-	for _, lf := range t.Leaves {
-		if k := int(lf.Stream); k < len(need) && lf.Items > need[k] {
-			need[k] = lf.Items
+// nextTreeLocked annotates q's tree as the joint planner sees it, with
+// the relay-discounted per-stream costs planFleet applies, and snapshots
+// the cache state the next tick plans against over every retained window
+// and the tree's own. Quotes and admissions price on both. Caller holds
+// the service lock.
+func (s *Service) nextTreeLocked(q *engine.Query) (*query.Tree, sched.Warm) {
+	tree := q.Tree()
+	for k := range tree.Streams {
+		if k < len(s.costScale) {
+			tree.Streams[k].Cost *= s.costScale[k]
 		}
 	}
-}
-
-// scaleTreeCosts applies the coordinator's relay-discounted per-stream
-// cost multipliers to freshly allocated trees, mirroring what planFleet
-// does on the tick path so quotes price in the same currency.
-func (s *Service) scaleTreeCosts(trees []*query.Tree) {
-	if s.costScale == nil {
-		return
+	need := tree.StreamMaxItems()
+	for k := range need {
+		need[k] = max(need[k], s.cache.Horizon(k))
 	}
-	for _, t := range trees {
-		for k := range t.Streams {
-			if k < len(s.costScale) {
-				t.Streams[k].Cost *= s.costScale[k]
-			}
-		}
-	}
+	return tree, sched.Warm(s.cache.NextSnapshotInto(need, nil))
 }
 
 // QuoteRegister on the sharded coordinator prices the registration on
-// the shard Register would place it on (see placeLocked), where the
-// worker quotes against its resident fleet. Remote workers (paotrserve
-// -worker processes) fall back to the independent price of the neutrally
-// compiled tree — the upper bound of the marginal cost.
+// the worker Register would place it on (see placeLocked), where it is
+// quoted against that worker's resident fleet — in-process or behind
+// `paotrserve -join`.
 func (sh *Sharded) QuoteRegister(id, text string, opts ...QueryOption) (Quote, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -154,19 +115,5 @@ func (sh *Sharded) QuoteRegister(id, text string, opts ...QueryOption) (Quote, e
 	if err != nil {
 		return Quote{}, err
 	}
-	type quoter interface {
-		QuoteRegister(id, text string, opts ...QueryOption) (Quote, error)
-	}
-	if w, ok := sh.workers[p.to].(quoter); ok {
-		return w.QuoteRegister(id, text, opts...)
-	}
-	// Remote worker: quote the no-sharing upper bound (prior
-	// probabilities, static costs, cold cache).
-	tree := p.q.Tree()
-	cold := make(sched.Warm, len(tree.Streams))
-	for k, d := range tree.StreamMaxItems() {
-		cold[k] = make([]bool, d)
-	}
-	price := fleet.PlanJoint([]*query.Tree{tree}, cold).Expected
-	return Quote{MarginalJPerTick: price, IndependentJPerTick: price}, nil
+	return sh.workers[p.to].QuoteRegister(id, text, opts...)
 }

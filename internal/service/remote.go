@@ -128,6 +128,7 @@ type WorkerHandler struct {
 func NewWorkerHandler(svc *Service, mirror *acquisition.ItemRelay) *WorkerHandler {
 	h := &WorkerHandler{svc: svc, mirror: mirror, mux: http.NewServeMux(), regs: map[string]workerQuery{}}
 	h.mux.HandleFunc("POST /worker/queries", h.handleRegister)
+	h.mux.HandleFunc("POST /worker/quote", h.handleQuote)
 	h.mux.HandleFunc("GET /worker/queries", h.handleList)
 	h.mux.HandleFunc("DELETE /worker/queries/{id...}", h.handleUnregister)
 	h.mux.HandleFunc("POST /worker/tick", h.handleTick)
@@ -166,22 +167,38 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-func (h *WorkerHandler) handleRegister(w http.ResponseWriter, r *http.Request) {
+// decodeQuery reads a registration in wire form, answering 400 itself
+// when it does not decode.
+func decodeQuery(w http.ResponseWriter, r *http.Request) (workerQuery, []QueryOption, bool) {
 	var wq workerQuery
 	if !decodeBody(w, r, &wq) {
-		return
+		return wq, nil, false
 	}
 	opts, err := decodeQueryOpts(wq)
 	if err != nil {
 		workerErr(w, http.StatusBadRequest, err)
+		return wq, nil, false
+	}
+	return wq, opts, true
+}
+
+// registerErr answers a failed registration or quote: 409 for a taken
+// id, 400 otherwise.
+func registerErr(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if errors.Is(err, ErrDuplicateID) {
+		status = http.StatusConflict
+	}
+	workerErr(w, status, err)
+}
+
+func (h *WorkerHandler) handleRegister(w http.ResponseWriter, r *http.Request) {
+	wq, opts, ok := decodeQuery(w, r)
+	if !ok {
 		return
 	}
 	if err := h.svc.Register(wq.ID, wq.Query, opts...); err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, ErrDuplicateID) {
-			status = http.StatusConflict
-		}
-		workerErr(w, status, err)
+		registerErr(w, err)
 		return
 	}
 	h.mu.Lock()
@@ -189,6 +206,19 @@ func (h *WorkerHandler) handleRegister(w http.ResponseWriter, r *http.Request) {
 	h.order = append(h.order, wq.ID)
 	h.mu.Unlock()
 	workerJSON(w, http.StatusCreated, map[string]string{"status": "registered"})
+}
+
+func (h *WorkerHandler) handleQuote(w http.ResponseWriter, r *http.Request) {
+	wq, opts, ok := decodeQuery(w, r)
+	if !ok {
+		return
+	}
+	q, err := h.svc.QuoteRegister(wq.ID, wq.Query, opts...)
+	if err != nil {
+		registerErr(w, err)
+		return
+	}
+	workerJSON(w, http.StatusOK, q)
 }
 
 func (h *WorkerHandler) handleList(w http.ResponseWriter, r *http.Request) {
@@ -395,6 +425,12 @@ func (rw *remoteWorker) call(method, path string, in, out any) error {
 
 func (rw *remoteWorker) Register(id, text string, opts ...QueryOption) error {
 	return rw.call(http.MethodPost, "/worker/queries", encodeQueryOpts(id, text, opts), nil)
+}
+
+func (rw *remoteWorker) QuoteRegister(id, text string, opts ...QueryOption) (Quote, error) {
+	var q Quote
+	err := rw.call(http.MethodPost, "/worker/quote", encodeQueryOpts(id, text, opts), &q)
+	return q, err
 }
 
 func (rw *remoteWorker) Unregister(id string) error {

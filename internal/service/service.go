@@ -620,6 +620,13 @@ func (s *Service) Register(id, text string, opts ...QueryOption) error {
 				return err
 			}
 			c = s.newClassLocked(ck, q)
+			if _, adaptive := s.executorFor(r).(engine.AdaptiveExecutor); !adaptive {
+				// A new linear class joins the planner's resident joint state
+				// with the placement its quote priced, so the next quote
+				// prices against it before any tick re-places it.
+				tree, warm := s.nextTreeLocked(q)
+				s.planner.Admit(c.planKey, tree, warm)
+			}
 		}
 		s.textMemo[mk] = c
 		c.texts = append(c.texts, mk)
@@ -715,8 +722,10 @@ func (s *Service) Unregister(id string) error {
 	}
 	if len(c.members) == 0 {
 		// Last subscriber gone: the class dies with it, releasing the
-		// class-held retention claim, its compiled query and the
-		// exact-twin memo entries (see Register).
+		// class-held retention claim, its compiled query, the exact-twin
+		// memo entries (see Register) and its place in the planner's
+		// resident joint state.
+		s.planner.Remove(c.planKey)
 		delete(s.classes, c.key)
 		delete(s.planKeys, c.planKey)
 		for i, o := range s.classList {
@@ -1670,7 +1679,7 @@ type Runtime interface {
 	Register(id, text string, opts ...QueryOption) error
 	// QuoteRegister prices a registration's marginal joint cost without
 	// performing it — the read-only front half of admission control (see
-	// Quote and fleet.QuoteJoint).
+	// Quote and fleet.Planner.Quote).
 	QuoteRegister(id, text string, opts ...QueryOption) (Quote, error)
 	Unregister(id string) error
 	QueryIDs() []string

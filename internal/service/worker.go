@@ -21,6 +21,9 @@ type Worker interface {
 	// scoped to the worker's slice of the fleet.
 	Register(id, text string, opts ...QueryOption) error
 	Unregister(id string) error
+	// QuoteRegister prices a registration against the worker's own
+	// resident fleet without performing it (see Service.QuoteRegister).
+	QuoteRegister(id, text string, opts ...QueryOption) (Quote, error)
 	Tick() TickResult
 	Results(id string, n int) ([]Execution, error)
 	QueryMetrics(id string) (QueryMetrics, error)
