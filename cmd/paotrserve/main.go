@@ -94,11 +94,13 @@
 // The -pprof flag exposes net/http/pprof under /debug/pprof/, for
 // CPU/heap profiling of a live fleet. /metrics reports joint planning
 // health alongside: plan_ns (cumulative wall time spent in the joint
-// planner) and plan_incremental (plans that kept some shape classes'
+// planner), plan_incremental (plans that kept some shape classes'
 // cached schedules and re-placed only the rest: registered, stale or
-// drifted classes). Drift past -replan-threshold re-places only the
-// drifted classes: a class is re-placed once its drift since it was last
-// placed passes the threshold, or when its detector trips.
+// drifted classes) and fleet_placed_classes (the classes those plans
+// placed, the work plan_ns follows). Drift past -replan-threshold
+// re-places only the drifted classes: a class is re-placed once its drift
+// since it was last placed passes the threshold, or when its detector
+// trips.
 package main
 
 import (

@@ -52,6 +52,7 @@ func writeProm(buf *bytes.Buffer, m service.Metrics, j *obs.Journal, traceSample
 	counter("paotr_fleet_plans_total", "Joint fleet plans produced.", float64(m.FleetPlans))
 	counter("paotr_fleet_plan_reuses_total", "Joint fleet plans reused from the cache.", float64(m.FleetPlanReuses))
 	counter("paotr_fleet_plan_incremental_total", "Joint plans produced by patching a cached plan instead of replanning.", float64(m.FleetPlanIncremental))
+	counter("paotr_fleet_placed_classes_total", "Shape classes the joint greedy placed: every class from scratch, the changed ones in a patch.", float64(m.FleetPlacedClasses))
 	counter("paotr_fleet_planned_executions_total", "Executions that ran a joint fleet schedule.", float64(m.FleetPlannedExecutions))
 	counter("paotr_plan_seconds_total", "Wall time spent in the joint planner.", float64(m.PlanNanos)/1e9)
 	counter("paotr_fleet_expected_joules_total", "Joint-planner modelled acquisition energy (every shared item priced once).", m.FleetExpectedCost)

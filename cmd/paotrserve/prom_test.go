@@ -96,6 +96,7 @@ func TestWritePromCoversCounters(t *testing.T) {
 		"fleet_expected_cost":       "paotr_fleet_expected_joules_total",
 		"independent_expected_cost": "paotr_independent_expected_joules_total",
 		"plan_ns":                   "paotr_plan_seconds_total",
+		"fleet_placed_classes":      "paotr_fleet_placed_classes_total",
 	} {
 		if got[key].sample != want {
 			t.Errorf("%s renders as %q, want %q", key, got[key].sample, want)

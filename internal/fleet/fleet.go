@@ -34,6 +34,16 @@
 // plan, which is the case where nothing is kept. Drift past Planner.Eps
 // therefore re-places only the drifted queries.
 //
+// A patch costs in proportion to what changed. Each kept schedule is
+// walked once, in input order, at the tree's current probabilities: it is
+// priced against the running per-item products Π (1 - P) of the kept
+// schedules before it, and its own factors are multiplied in. The greedy
+// then places only the other queries, with those products as the
+// background of every cross-discount, and only they, plus the few kept
+// queries that drifted furthest, are planned on their own for the
+// guardrail; every other kept query's independent order is the one stored
+// with its schedule.
+//
 // Planner also keeps a live joint state of its resident classes — per
 // (stream, item), the running product of (1 - P) over their current
 // schedules and over their independent orders — so Planner.Quote prices
@@ -42,7 +52,9 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -90,7 +102,8 @@ type Plan struct {
 	// IndependentExpected is the sum of the independently planned
 	// per-query expected costs — the cost model of per-query planning,
 	// which prices shared items once per query. Expected never exceeds
-	// it.
+	// it. A kept query's independent order may date from its last
+	// placement (see Planner); it is priced at the current probabilities.
 	IndependentExpected float64
 	// GreedyJoint reports whether the cross-query greedy order won the
 	// best-of-two against the independently planned orders re-priced
@@ -102,6 +115,10 @@ type Plan struct {
 	// Planner). A plan reused under drift within Eps places nothing and
 	// reports the Patched of the plan it re-prices.
 	Patched bool
+	// Placed counts the queries the joint greedy placed to build the plan:
+	// every query from scratch, the registered, stale and drifted ones in
+	// a patch, and none in a reuse under drift within Eps.
+	Placed int
 	// Manifest is the deduplicated acquisition plan: for every stream
 	// some query's schedule opens on, the window to pre-acquire once.
 	// First leaves are evaluated unconditionally, so pre-pulling them
@@ -112,7 +129,7 @@ type Plan struct {
 // unit is one AND node of one query, the placement granularity of the
 // joint greedy (the AND-ordered family of the paper).
 type unit struct {
-	q      int   // index into the input trees
+	q      int   // index into the jointState's trees
 	leaves []int // leaf indices into trees[q], in Algorithm 1 order
 	prob   float64
 	// weight is the query's subscriber count under shape factoring: a
@@ -142,8 +159,9 @@ type jointState struct {
 	// cost[k] = per-item cost of stream k.
 	cost []float64
 	// bg, when set, holds per stream and item a factor every cross
-	// multiplies in: the resident classes' running product Π (1 - P) when
-	// a newcomer is priced against the resident joint state (see
+	// multiplies in: the running product Π (1 - P) of the classes the
+	// state's trees are placed against — a patch's kept schedules (see
+	// planJoint), or the resident classes when a newcomer is quoted (see
 	// Planner.Quote). reset clears it.
 	bg [][]float64
 	// touch collects, between beginTouch and the end of the next committed
@@ -152,6 +170,9 @@ type jointState struct {
 	touch      []int
 	touchStamp []int
 	touchRound int
+	// trials counts the trial (uncommitted) appendUnit calls and factors
+	// the per-class factors cross read since reset: the greedy's work.
+	trials, factors int
 }
 
 // jointStatePool recycles jointStates across plans: rebuilding the
@@ -238,6 +259,7 @@ func (st *jointState) reset(trees []*query.Tree, warm sched.Warm) {
 	st.touchRound = 0
 	st.touch = st.touch[:0]
 	st.bg = nil
+	st.trials, st.factors = 0, 0
 }
 
 // beginTouch starts a fresh touched-stream set for the next committed
@@ -254,7 +276,9 @@ func (st *jointState) cross(q, k, d int) float64 {
 	if st.bg != nil {
 		p = st.bg[k][d]
 	}
-	for _, q2 := range st.nz[k][d] {
+	nz := st.nz[k][d]
+	st.factors += len(nz)
+	for _, q2 := range nz {
 		if int(q2) == q {
 			continue
 		}
@@ -268,6 +292,9 @@ func (st *jointState) cross(q, k, d int) float64 {
 // rolled back and the accumulated acquisition probabilities are left
 // untouched.
 func (st *jointState) appendUnit(u unit, commit bool) float64 {
+	if !commit {
+		st.trials++
+	}
 	delta := 0.0
 	for _, j := range u.leaves {
 		st.px[u.q].AppendVisit(j, func(k query.StreamID, d int, pr float64) {
@@ -340,7 +367,7 @@ func independentOrder(t *query.Tree, warm sched.Warm) sched.Schedule {
 // For a single tree the joint plan degenerates to the engine's default
 // warm planner: same schedule, same expected cost.
 func PlanJoint(trees []*query.Tree, warm sched.Warm) *Plan {
-	plan, _ := planJoint(trees, nil, nil, warm, false)
+	plan, _, _ := planJoint(trees, nil, nil, nil, warm, false)
 	return plan
 }
 
@@ -350,72 +377,123 @@ func PlanJoint(trees []*query.Tree, warm sched.Warm) *Plan {
 // selection-key ties — a factored shape executes once regardless of its
 // subscriber count, so the joint objective itself is weight-invariant.
 func PlanJointWeighted(trees []*query.Tree, weights []int, warm sched.Warm) *Plan {
-	plan, _ := planJoint(trees, weights, nil, warm, false)
+	plan, _, _ := planJoint(trees, weights, nil, nil, warm, false)
 	return plan
 }
 
+// planWork counts the placement work of one plan, the work its planning
+// time follows: the greedy's trial appends and the per-class factors its
+// cross-discounts read, and the classes planned on their own for the
+// guardrail.
+type planWork struct {
+	trials, factors, indep int
+}
+
 // planJoint builds every joint plan. Each tree qi with a non-nil kept[qi]
-// keeps that schedule, committed first in input order; the joint greedy
-// places every other tree's AND units against them — the lazy heap, or
-// with quadratic set the seed O(u²) scan, the byte-identity oracle the
-// heap planner's tests compare against. The joint cost telescopes to its
-// closed form whatever the placement order, so keeping a schedule prices
-// the same objective as placing it afresh, and a nil kept is the
-// from-scratch plan. It also returns the guardrail's independent orders,
-// one per tree.
-func planJoint(trees []*query.Tree, weights []int, kept []sched.Schedule, warm sched.Warm, quadratic bool) (*Plan, []sched.Schedule) {
+// keeps that schedule; the joint greedy places every other tree's AND
+// units — the lazy heap, or with quadratic set the seed O(u²) scan, the
+// byte-identity oracle the heap planner's tests compare against. The
+// joint cost telescopes to its closed form whatever the placement order,
+// so keeping a schedule prices the same objective as placing it afresh,
+// and a nil kept is the from-scratch plan.
+//
+// A kept class costs one walk of its schedule at the tree's current
+// probabilities, priced against the kept classes before it in input
+// order, whose running per-item products Π (1 - P) are then the
+// background the greedy places the other classes against. The guardrail
+// side walks every class's independent order the same way: the stored
+// order keptIndep[qi] where it is non-nil, else one planned afresh.
+// planJoint returns the independent orders, one per tree, and the
+// placement work.
+func planJoint(trees []*query.Tree, weights []int, kept, keptIndep []sched.Schedule, warm sched.Warm, quadratic bool) (*Plan, []sched.Schedule, planWork) {
+	var work planWork
 	plan := &Plan{Queries: make([]QueryPlan, len(trees)), GreedyJoint: true}
 	if len(trees) == 0 {
-		return plan, nil
+		return plan, nil, work
 	}
-
-	// Greedy joint order over the placed queries' AND units: place the unit
-	// with the smallest cross-discounted incremental C/p, as the paper's
-	// best DNF heuristic does within one query.
-	st := newJointState(trees, warm)
-	sc := greedyScratchPool.Get().(*greedyScratch)
-	units := sc.units[:0]
-	greedy := make([]sched.Schedule, len(trees))
-	greedyPerQuery := make([]float64, len(trees))
-	greedyTotal := 0.0
-	for qi, t := range trees {
-		if qi < len(kept) && kept[qi] != nil {
-			delta := st.appendUnit(unit{q: qi, leaves: kept[qi]}, true)
-			greedy[qi] = kept[qi]
-			greedyPerQuery[qi] = delta
-			greedyTotal += delta
-			plan.Patched = true
-			continue
-		}
-		units = appendUnitsOf(units, qi, t, weightOf(weights, qi), warm)
-	}
-	place := func(u unit, delta float64) {
-		greedy[u.q] = append(greedy[u.q], u.leaves...)
-		greedyPerQuery[u.q] += delta
-		greedyTotal += delta
-	}
-	if quadratic {
-		placeGreedyQuad(st, units, place)
-	} else {
-		placeGreedyHeap(st, units, sc, place)
-	}
-	sc.units = units[:0]
-	greedyScratchPool.Put(sc)
-	st.release()
-
-	// Guardrail: price the independently planned orders under the same
-	// joint objective (cross-discounting only lowers each query's cost,
-	// so this joint price never exceeds the sum of the independent
-	// plans) and keep the cheaper of the two.
 	indep := make([]sched.Schedule, len(trees))
-	for qi, t := range trees {
-		indep[qi] = independentOrder(t, warm)
-		plan.IndependentExpected += sched.CostWarm(t, indep[qi], warm)
-	}
-	indepPerQuery, indepTotal := priceJoint(trees, indep, warm)
+	greedy := make([]sched.Schedule, len(trees))
+	shares := make([]float64, 2*len(trees))
+	greedyPerQuery, indepPerQuery := shares[:len(trees)], shares[len(trees):]
+	greedyTotal, indepTotal := 0.0, 0.0
 
-	schedules := greedy
-	perQuery := greedyPerQuery
+	// One pass per class in input order: a kept schedule is priced against
+	// the kept classes before it, and every class's independent order
+	// against the classes before it on the guardrail's side.
+	pw := newProducts(trees)
+	sc := greedyScratchPool.Get().(*greedyScratch)
+	placed, placedAt := sc.trees[:0], sc.at[:0]
+	for qi, t := range trees {
+		if qi < len(keptIndep) && keptIndep[qi] != nil {
+			indep[qi] = keptIndep[qi]
+		} else {
+			indep[qi] = independentOrder(t, warm)
+			work.indep++
+		}
+		var alone float64
+		if qi < len(kept) && kept[qi] != nil {
+			// A kept schedule that is also the independent order (the
+			// common case) prices both sides in one walk.
+			on := onKept
+			if slices.Equal(kept[qi], indep[qi]) {
+				on |= onGuard
+			}
+			greedyPerQuery[qi], indepPerQuery[qi], alone = pw.walk(t, kept[qi], warm, on)
+			greedy[qi] = kept[qi]
+			greedyTotal += greedyPerQuery[qi]
+			plan.Patched = true
+			if on&onGuard == 0 {
+				_, indepPerQuery[qi], alone = pw.walk(t, indep[qi], warm, onGuard)
+			}
+		} else {
+			placed = append(placed, t)
+			placedAt = append(placedAt, qi)
+			_, indepPerQuery[qi], alone = pw.walk(t, indep[qi], warm, onGuard)
+		}
+		indepTotal += indepPerQuery[qi]
+		plan.IndependentExpected += alone
+	}
+	plan.Placed = len(placed)
+
+	// Greedy joint order over the placed classes' AND units: place the
+	// unit with the smallest cross-discounted incremental C/p, as the
+	// paper's best DNF heuristic does within one query, against the kept
+	// classes' products.
+	if len(placed) > 0 {
+		st := newJointState(placed, warm)
+		copy(st.cost, pw.cost)
+		if plan.Patched {
+			st.bg = pw.g
+		}
+		units := sc.units[:0]
+		for pi, t := range placed {
+			units = appendUnitsOf(units, pi, t, weightOf(weights, placedAt[pi]), warm)
+		}
+		place := func(u unit, delta float64) {
+			qi := placedAt[u.q]
+			greedy[qi] = append(greedy[qi], u.leaves...)
+			greedyPerQuery[qi] += delta
+			greedyTotal += delta
+		}
+		if quadratic {
+			placeGreedyQuad(st, units, place)
+		} else {
+			placeGreedyHeap(st, units, sc, place)
+		}
+		work.trials, work.factors = st.trials, st.factors
+		sc.units = units[:0]
+		st.release()
+	}
+	clear(placed)
+	sc.trees, sc.at = placed[:0], placedAt[:0]
+	greedyScratchPool.Put(sc)
+	pw.release()
+
+	// Guardrail: the independent orders priced under the same joint
+	// objective (cross-discounting only lowers each query's cost, so this
+	// joint price never exceeds the sum of the independent plans) — keep
+	// the cheaper of the two.
+	schedules, perQuery := greedy, greedyPerQuery
 	plan.Expected = greedyTotal
 	if indepTotal < greedyTotal-1e-12 {
 		schedules, perQuery = indep, indepPerQuery
@@ -426,7 +504,7 @@ func planJoint(trees []*query.Tree, weights []int, kept []sched.Schedule, warm s
 		plan.Queries[qi] = QueryPlan{Schedule: schedules[qi], Expected: perQuery[qi]}
 	}
 	plan.buildManifest(trees)
-	return plan, indep
+	return plan, indep, work
 }
 
 // PriceJoint prices fixed per-query schedules under the joint objective:
@@ -434,28 +512,131 @@ func planJoint(trees []*query.Tree, weights []int, kept []sched.Schedule, warm s
 // acquire it. It is the cost model a fleet-level layer needs to compare
 // plans it did not build itself — e.g. a shard partitioner pricing the
 // per-shard schedules as if they ran against one shared cache, to
-// measure the sharing lost to partitioning.
+// measure the sharing lost to partitioning. The total is independent of
+// the order of the queries (the incremental accounting telescopes to the
+// closed form).
 func PriceJoint(trees []*query.Tree, schedules []sched.Schedule, warm sched.Warm) float64 {
-	_, total := priceJoint(trees, schedules, warm)
+	pw := newProducts(trees)
+	total := 0.0
+	for qi, t := range trees {
+		delta, _, _ := pw.walk(t, schedules[qi], warm, onKept)
+		total += delta
+	}
+	pw.release()
 	return total
 }
 
-// priceJoint evaluates fixed per-query schedules under the joint
-// objective: every item's cost is shared across the queries that
-// probably acquire it. The total is independent of the interleaving of
-// queries (the incremental accounting telescopes to the closed form);
-// the per-query attribution prices queries in input order.
-func priceJoint(trees []*query.Tree, schedules []sched.Schedule, warm sched.Warm) ([]float64, float64) {
-	st := newJointState(trees, warm)
-	perQuery := make([]float64, len(trees))
-	total := 0.0
-	for qi := range trees {
-		delta := st.appendUnit(unit{q: qi, leaves: schedules[qi]}, true)
-		perQuery[qi] = delta
-		total += delta
+// products prices fixed schedules one class at a time, in input order:
+// a walk prices a class's schedule against running per-item products
+// Π (1 - P) over the classes walked before it, then multiplies its own
+// factors in. It multiplies the same factors in the same order as
+// jointState.cross over committed classes, so it prices bit for bit as
+// committing the schedules would, without the per-item lists of the
+// classes behind each product. g and i are two independent sets of
+// products: the kept schedules' and the guardrail's independent
+// orders'.
+type products struct {
+	px *sched.Prefix
+	// acc[k][d] accumulates the walked class's probability of acquiring
+	// item d+1 of stream k; it is zero between walks.
+	acc  [][]float64
+	g, i [][]float64
+	// cost[k] is stream k's per-item cost, taken from the trees as
+	// jointState.reset takes it.
+	cost []float64
+}
+
+var productsPool = sync.Pool{New: func() any { return new(products) }}
+
+// newProducts returns pooled products, every one 1, with the costs of
+// trees' streams.
+func newProducts(trees []*query.Tree) *products {
+	pw := productsPool.Get().(*products)
+	pw.cost = pw.cost[:0]
+	for _, t := range trees {
+		for k, s := range t.Streams {
+			for len(pw.cost) <= k {
+				pw.cost = append(pw.cost, 0)
+			}
+			pw.cost[k] = s.Cost
+		}
 	}
-	st.release()
-	return perQuery, total
+	for _, rows := range [][][]float64{pw.g, pw.i} {
+		for _, row := range rows {
+			for d := range row {
+				row[d] = 1
+			}
+		}
+	}
+	return pw
+}
+
+// release returns pw to the pool. Callers must not touch pw after.
+func (pw *products) release() { productsPool.Put(pw) }
+
+// onKept and onGuard select the products a walk prices against: pw.g,
+// pw.i, or both for a schedule that is both.
+const (
+	onKept = 1 << iota
+	onGuard
+)
+
+// walk prices schedule s of tree t at warm against the products on
+// selects, then multiplies the class's per-item (1 - P) into them. It
+// returns the cross-discounted marginals against pw.g and pw.i (0 for a
+// set not selected) and the schedule's own expected cost.
+func (pw *products) walk(t *query.Tree, s sched.Schedule, warm sched.Warm, on int) (dg, di, alone float64) {
+	if pw.px == nil {
+		pw.px = sched.NewPrefixWarm(t, warm)
+	} else {
+		pw.px.ReinitWarm(t, warm)
+	}
+	maxD := pw.px.MaxItems()
+	pw.cover(maxD)
+	g, i := pw.g, pw.i
+	for _, j := range s {
+		pw.px.AppendVisit(j, func(k query.StreamID, d int, pr float64) {
+			if on&onKept != 0 {
+				dg += pr * g[k][d] * pw.cost[k]
+			}
+			if on&onGuard != 0 {
+				di += pr * i[k][d] * pw.cost[k]
+			}
+			pw.acc[k][d] += pr
+		})
+	}
+	for k, items := range maxD {
+		acc := pw.acc[k]
+		for d := range items {
+			if a := acc[d]; a != 0 {
+				if on&onKept != 0 {
+					g[k][d] *= 1 - a
+				}
+				if on&onGuard != 0 {
+					i[k][d] *= 1 - a
+				}
+				acc[d] = 0
+			}
+		}
+	}
+	return dg, di, pw.px.Cost()
+}
+
+// cover grows the rows to the per-stream item horizons maxD, with new
+// products at 1.
+func (pw *products) cover(maxD []int) {
+	for len(pw.acc) < len(maxD) {
+		pw.acc = append(pw.acc, nil)
+		pw.g = append(pw.g, nil)
+		pw.i = append(pw.i, nil)
+	}
+	for k, items := range maxD {
+		for len(pw.acc[k]) < items {
+			pw.acc[k] = append(pw.acc[k], 0)
+			pw.g[k] = append(pw.g[k], 1)
+			pw.i[k] = append(pw.i[k], 1)
+		}
+	}
 }
 
 // buildManifest collects the fleet's opening windows: the first leaf of
@@ -524,6 +705,15 @@ const maxPlannerEntries = 64
 // against, so a query is re-placed once its drift since it was last
 // placed passes Eps, or when its detector trips.
 //
+// Each entry also stores every query's independent order, planned with
+// its schedule. A kept query reuses it, except that the 8 kept queries
+// that drifted furthest since placement (refreshOrders) get orders
+// planned afresh, so a patch plans its placed queries plus at most 8
+// others on their own. A
+// query's fingerprint is the one its schedule was computed against: the
+// base's for a kept query, on either side of the guardrail, unless the
+// independent side won with an order planned afresh.
+//
 // The Planner also holds the resident joint state admissions are quoted
 // against (see Quote): every class it placed or admitted, with the cold
 // acquisition probabilities of its current schedule and of its
@@ -543,6 +733,25 @@ type Planner struct {
 	patched int64
 	stored  uint64 // store counter; plannerEntry.seq orders base ties and evictions
 	res     residentState
+	drifted []keptDrift // selectLocked's scratch
+}
+
+// refreshOrders is how many kept classes per plan get their independent
+// orders planned afresh: the ones that drifted furthest since they were
+// placed, so every kept class in a fleet that keeps at most this many.
+// A stored order can stop being the one independent planning would pick
+// as its class drifts, and the guardrail then misses a cheaper plan:
+// reusing every kept class's stored order read 21% of the independent
+// bound above a from-scratch plan on TestPlannerPatchPricesNearScratch's
+// drift steps, and refreshing 3 or more per plan the from-scratch
+// planner's 4.5%.
+const refreshOrders = 8
+
+// keptDrift is a kept class's position in the due set and its drift since
+// it was placed.
+type keptDrift struct {
+	qi    int
+	drift float64
 }
 
 // plannerEntry is one cached joint plan with its fingerprint.
@@ -553,6 +762,9 @@ type plannerEntry struct {
 	costs [][]float64    // per tree: per-stream per-item costs, likewise
 	warm  sched.Warm
 	plan  *Plan
+	// indep holds per tree the guardrail's independent order, planned
+	// against the same fingerprint as its schedule.
+	indep []sched.Schedule
 	seq   uint64 // store order: the latest store has the largest seq
 }
 
@@ -562,12 +774,15 @@ type selection struct {
 	plan *Plan
 	own  *plannerEntry // the due set's cached entry, nil if none
 	base *plannerEntry // the entry the kept schedules come from
-	// kept holds, per tree, the schedule kept from base (nil: placed).
-	kept []sched.Schedule
+	// kept holds, per tree, the schedule kept from base (nil: placed), and
+	// keptIndep the independent order kept from base (nil: planned afresh).
+	kept, keptIndep []sched.Schedule
 	// indep holds the guardrail's independent order of every tree.
 	indep []sched.Schedule
 	// reused reports that plan runs own's schedules verbatim.
 	reused bool
+	// work is the placement work the plan took.
+	work planWork
 }
 
 // cacheKey joins the due-set ids (query ids cannot contain NUL).
@@ -589,10 +804,16 @@ func (pl *Planner) Plan(keys []string, trees []*query.Tree, warm sched.Warm) (pl
 // planning work; weights only break exact selection ties when a plan is
 // actually (re)built.
 func (pl *Planner) PlanWeighted(keys []string, trees []*query.Tree, weights []int, warm sched.Warm) (plan *Plan, reused bool) {
-	key := cacheKey(keys)
-
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
+	s := pl.planLocked(keys, trees, weights, warm)
+	return s.plan, s.reused
+}
+
+// planLocked selects the plan for a due set and stores it, refreshing the
+// resident state with the classes it re-placed.
+func (pl *Planner) planLocked(keys []string, trees []*query.Tree, weights []int, warm sched.Warm) selection {
+	key := cacheKey(keys)
 	s := pl.selectLocked(key, keys, trees, weights, warm)
 	switch {
 	case !s.reused:
@@ -610,11 +831,13 @@ func (pl *Planner) PlanWeighted(keys []string, trees []*query.Tree, weights []in
 		pl.res.resum()
 	case s.plan != s.own.plan:
 		// Every schedule was kept within Eps: the fingerprints they were
-		// placed against stay, and so does the plan's provenance.
+		// placed against stay, and so does the plan's provenance. The
+		// independent orders it planned afresh replace the stored ones.
 		s.plan.Patched = s.own.plan.Patched
 		s.own.plan = s.plan
+		s.own.indep = s.indep
 	}
-	return s.plan, s.reused
+	return s
 }
 
 // selectLocked builds the plan for a due set as the Planner doc describes
@@ -630,18 +853,36 @@ func (pl *Planner) selectLocked(key string, keys []string, trees []*query.Tree, 
 	}
 	keptAll := false
 	if s.base != nil && warmCompatible(s.base.warm, warm) {
-		s.kept = make([]sched.Schedule, len(keys))
+		s.kept = make([]sched.Schedule, 2*len(keys))
+		s.kept, s.keptIndep = s.kept[:len(keys)], s.kept[len(keys):]
 		keptAll = true
+		drifted := pl.drifted[:0]
 		for qi, id := range keys {
 			bi, ok := s.base.index[id]
-			if ok && !pl.staleLocked(id) && trees[qi].Drift(s.base.probs[bi], s.base.costs[bi]) <= pl.Eps {
-				s.kept[qi] = s.base.plan.Queries[bi].Schedule
-			} else {
+			if !ok || pl.staleLocked(id) {
 				keptAll = false
+				continue
 			}
+			d := trees[qi].Drift(s.base.probs[bi], s.base.costs[bi])
+			if d > pl.Eps {
+				keptAll = false
+				continue
+			}
+			s.kept[qi] = s.base.plan.Queries[bi].Schedule
+			s.keptIndep[qi] = s.base.indep[bi]
+			drifted = append(drifted, keptDrift{qi: qi, drift: d})
 		}
+		// The kept classes that drifted furthest since placement get fresh
+		// independent orders; ties go to the earlier class.
+		if len(drifted) > refreshOrders {
+			slices.SortStableFunc(drifted, func(a, b keptDrift) int { return cmp.Compare(b.drift, a.drift) })
+		}
+		for _, kd := range drifted[:min(len(drifted), refreshOrders)] {
+			s.keptIndep[kd.qi] = nil
+		}
+		pl.drifted = drifted
 	}
-	s.plan, s.indep = planJoint(trees, weights, s.kept, warm, false)
+	s.plan, s.indep, s.work = planJoint(trees, weights, s.kept, s.keptIndep, warm, false)
 	s.reused = s.base == own && keptAll && s.plan.GreedyJoint
 	return s
 }
@@ -692,7 +933,7 @@ func (pl *Planner) storeLocked(key string, keys []string, trees []*query.Tree, w
 	probs := make([][]float64, len(trees))
 	costs := make([][]float64, len(trees))
 	for qi, t := range trees {
-		if s.plan.GreedyJoint && s.kept != nil && s.kept[qi] != nil {
+		if s.kept != nil && s.kept[qi] != nil && (s.plan.GreedyJoint || s.keptIndep[qi] != nil) {
 			bi := s.base.index[keys[qi]]
 			probs[qi], costs[qi] = s.base.probs[bi], s.base.costs[bi]
 		} else {
@@ -721,7 +962,7 @@ func (pl *Planner) storeLocked(key string, keys []string, trees []*query.Tree, w
 		delete(pl.entries, oldest)
 	}
 	pl.stored++
-	pl.entries[key] = &plannerEntry{keys: ks, index: index, probs: probs, costs: costs, warm: w, plan: s.plan, seq: pl.stored}
+	pl.entries[key] = &plannerEntry{keys: ks, index: index, probs: probs, costs: costs, warm: w, plan: s.plan, indep: s.indep, seq: pl.stored}
 	for _, id := range keys {
 		delete(pl.stale, id)
 	}

@@ -3,6 +3,8 @@ package fleet
 import (
 	"math"
 	"sync"
+
+	"paotr/internal/query"
 )
 
 // The joint greedy's selection loop used to rescan every remaining unit
@@ -93,8 +95,11 @@ func (h *unitHeap) pop() heapEntry {
 }
 
 // greedyScratch pools the per-plan selection state so steady-state
-// replans allocate nothing beyond the plan itself.
+// replans allocate nothing beyond the plan itself. trees and at hold the
+// classes a plan places and their input positions.
 type greedyScratch struct {
+	trees    []*query.Tree
+	at       []int
 	units    []unit
 	keys     []float64
 	ver      []uint32

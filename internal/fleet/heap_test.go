@@ -12,7 +12,7 @@ import (
 // planJointReference plans with the seed O(u²) selection scan instead of
 // the lazy heap: the oracle the heap planner must match byte for byte.
 func planJointReference(trees []*query.Tree, weights []int, warm sched.Warm) *Plan {
-	plan, _ := planJoint(trees, weights, nil, warm, true)
+	plan, _, _ := planJoint(trees, weights, nil, nil, warm, true)
 	return plan
 }
 

@@ -36,9 +36,10 @@ func (pl *Planner) QuoteJoint(keys []string, trees []*query.Tree, weights []int,
 }
 
 // dumpPlanner renders every observable piece of planner state — cached
-// entries with their fingerprints and plans, the stale set, and the
-// resident joint state with its classes, products, sums and basis — into
-// one deterministic string, so state equality is byte equality.
+// entries with their fingerprints, plans and stored independent orders,
+// the stale set, and the resident joint state with its classes, products,
+// sums and basis — into one deterministic string, so state equality is
+// byte equality.
 func dumpPlanner(pl *Planner) string {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -54,7 +55,7 @@ func dumpPlanner(pl *Planner) string {
 		fmt.Fprintf(&b, "  plan expected=%v indep=%v greedy=%v patched=%v\n",
 			ent.plan.Expected, ent.plan.IndependentExpected, ent.plan.GreedyJoint, ent.plan.Patched)
 		for qi, qp := range ent.plan.Queries {
-			fmt.Fprintf(&b, "  q%d expected=%v schedule=%v\n", qi, qp.Expected, qp.Schedule)
+			fmt.Fprintf(&b, "  q%d expected=%v schedule=%v indep=%v\n", qi, qp.Expected, qp.Schedule, ent.indep[qi])
 		}
 	}
 	stale := make([]string, 0, len(pl.stale))

@@ -55,6 +55,41 @@ func TestServiceIncrementalPlanOnChurn(t *testing.T) {
 	}
 }
 
+// TestServiceCountsPlacedClasses: fleet_placed_classes counts the classes
+// the joint greedy placed — the whole fleet on the first plan, none while
+// the plan is reused, the newcomer alone when a registration patches it,
+// and nothing when an unregistration only drops a class.
+func TestServiceCountsPlacedClasses(t *testing.T) {
+	svc := New(overlapRegistry(t, 6, 17), WithWorkers(1),
+		WithEngineOptions(engine.WithReplanThreshold(0.05)))
+	overlapFleet(t, svc, 5)
+	tickAll(t, svc, 5)
+	base := svc.Metrics()
+	scratch := base.FleetPlans - base.FleetPlanReuses - base.FleetPlanIncremental
+	if base.FleetPlanIncremental != 0 || base.FleetPlanReuses == 0 || base.FleetPlacedClasses != 5*scratch {
+		t.Fatalf("stable fleet of 5 classes: %d classes placed over %d plans (%d reused, %d patched), want 5 per plan from scratch",
+			base.FleetPlacedClasses, base.FleetPlans, base.FleetPlanReuses, base.FleetPlanIncremental)
+	}
+	if err := svc.Register("tenant5",
+		"(AVG(shared,4) > 0.2 [p=0.5]) OR (AVG(private5,4) > 0.2 [p=0.5])"); err != nil {
+		t.Fatal(err)
+	}
+	tickAll(t, svc, 1)
+	grown := svc.Metrics()
+	if grown.FleetPlanIncremental != 1 || grown.FleetPlacedClasses != base.FleetPlacedClasses+1 {
+		t.Fatalf("registration tick: %d patches placing %d classes, want 1 patch placing the newcomer",
+			grown.FleetPlanIncremental, grown.FleetPlacedClasses-base.FleetPlacedClasses)
+	}
+	if err := svc.Unregister("tenant2"); err != nil {
+		t.Fatal(err)
+	}
+	tickAll(t, svc, 3)
+	if m := svc.Metrics(); m.FleetPlanIncremental != 2 || m.FleetPlacedClasses != grown.FleetPlacedClasses {
+		t.Fatalf("unregistration ticks: %d patches placing %d classes, want 1 more patch placing none",
+			m.FleetPlanIncremental-grown.FleetPlanIncremental, m.FleetPlacedClasses-grown.FleetPlacedClasses)
+	}
+}
+
 // TestServiceDriftTripPatchesPlan: a cost-detector trip on one stream
 // must mark stale exactly the queries reading that stream, and the next
 // tick must absorb the shift by patching the joint plan — not by

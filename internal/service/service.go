@@ -177,7 +177,8 @@ type tickScratch struct {
 	classDue   []int
 	aplans     []*engine.AdaptivePlan
 	fleetOf    []int // leader index -> joint-plan index, -1 outside the plan
-	idx        []int
+	idx        []int // leaders running the linear executor
+	adapt      []int // leaders running an adaptive executor
 	keys       []string
 	weights    []int
 	trees      []*query.Tree
@@ -902,7 +903,7 @@ func (s *Service) fanOut(n int, f func(int)) {
 }
 
 // planFleet jointly plans the due shape-class leaders running the linear
-// executor (sc.idx lists their leader indices): their classes'
+// executor (Tick lists their leader indices in sc.idx): their classes'
 // probability-annotated trees are handed to the fleet planner as one
 // workload against the shared warm cache state — keyed by the classes'
 // stable plan keys and weighted by their due subscriber counts — and the
@@ -918,12 +919,6 @@ func (s *Service) fanOut(n int, f func(int)) {
 // plan allocates nothing here. Caller holds the service lock.
 func (s *Service) planFleet(lead []*registered) (*fleet.Plan, error) {
 	sc := &s.scratch
-	sc.idx = sc.idx[:0]
-	for i, r := range lead {
-		if _, adaptive := s.executorFor(r).(engine.AdaptiveExecutor); !adaptive {
-			sc.idx = append(sc.idx, i)
-		}
-	}
 	if len(sc.idx) == 0 {
 		return nil, nil
 	}
@@ -991,8 +986,11 @@ func (s *Service) planFleet(lead []*registered) (*fleet.Plan, error) {
 	s.ctr.FleetPlans++
 	if reused {
 		s.ctr.FleetPlanReuses++
-	} else if fplan.Patched {
-		s.ctr.FleetPlanIncremental++
+	} else {
+		s.ctr.FleetPlacedClasses += int64(fplan.Placed)
+		if fplan.Patched {
+			s.ctr.FleetPlanIncremental++
+		}
 	}
 	s.ctr.FleetPlannedExecutions += int64(len(idx))
 	s.ctr.FleetExpectedCost += fplan.Expected
@@ -1085,6 +1083,17 @@ func (s *Service) Tick() TickResult {
 	lead, leadDueIdx := sc.lead, sc.leadDueIdx
 	planStart := time.Now()
 
+	// Leaders by executor: the linear ones are planned jointly (phase 1a),
+	// the adaptive ones each plan their own decision tree (phase 1b).
+	sc.idx, sc.adapt = sc.idx[:0], sc.adapt[:0]
+	for i, r := range lead {
+		if _, adaptive := s.executorFor(r).(engine.AdaptiveExecutor); adaptive {
+			sc.adapt = append(sc.adapt, i)
+		} else {
+			sc.idx = append(sc.idx, i)
+		}
+	}
+
 	// Phase 1a: joint planning of the linear-executor leaders. An invalid
 	// joint plan fails their executions (see planFleet).
 	if cap(sc.aplans) < len(lead) {
@@ -1105,20 +1114,20 @@ func (s *Service) Tick() TickResult {
 	}
 
 	// Phase 1b: every adaptive-executor leader plans its class's decision
-	// tree (or linear fallback).
-	s.fanOut(len(lead), func(i int) {
-		r := lead[i]
-		x, adaptive := s.executorFor(r).(engine.AdaptiveExecutor)
-		if !adaptive {
-			return // joint-planned in phase 1a
-		}
-		ap, err := r.cls.q.PlanAdaptive(s.cache, x.GapThreshold)
-		if err != nil {
-			out.Executions[leadDueIdx[i]] = Execution{ID: r.id, Tick: s.tick, Shard: s.shardIdx, Err: err.Error()}
-			return
-		}
-		aplans[i] = ap
-	})
+	// tree (or linear fallback). A fleet without one skips the hand-off.
+	if adapt := sc.adapt; len(adapt) > 0 {
+		s.fanOut(len(adapt), func(n int) {
+			i := adapt[n]
+			r := lead[i]
+			x := s.executorFor(r).(engine.AdaptiveExecutor)
+			ap, err := r.cls.q.PlanAdaptive(s.cache, x.GapThreshold)
+			if err != nil {
+				out.Executions[leadDueIdx[i]] = Execution{ID: r.id, Tick: s.tick, Shard: s.shardIdx, Err: err.Error()}
+				return
+			}
+			aplans[i] = ap
+		})
+	}
 	planDur := time.Since(planStart)
 	acquireStart := time.Now()
 
@@ -1482,6 +1491,11 @@ type Counters struct {
 	// is the cumulative wall-clock time spent in joint planning.
 	FleetPlanIncremental int64 `json:"plan_incremental"`
 	PlanNanos            int64 `json:"plan_ns"`
+	// FleetPlacedClasses counts the classes the joint greedy placed
+	// (fleet.Plan.Placed): every class of a from-scratch plan, the
+	// registered, stale and drifted ones of a patch, none of a reuse. It is
+	// the work joint planning time follows.
+	FleetPlacedClasses int64 `json:"fleet_placed_classes"`
 	// FleetExpectedCost sums the joint planner's modelled fleet costs
 	// (every shared item priced once); IndependentExpectedCost sums what
 	// per-query planning would have modelled for the same workloads.
@@ -1544,6 +1558,7 @@ func (c *Counters) Add(o Counters) {
 	c.FleetPlannedExecutions += o.FleetPlannedExecutions
 	c.FleetPlanIncremental += o.FleetPlanIncremental
 	c.PlanNanos += o.PlanNanos
+	c.FleetPlacedClasses += o.FleetPlacedClasses
 	c.FleetExpectedCost += o.FleetExpectedCost
 	c.IndependentExpectedCost += o.IndependentExpectedCost
 	c.DistinctShapes += o.DistinctShapes
